@@ -8,7 +8,7 @@ ABCOUNT ?= 1
 ABTIME ?= 1x
 # The A/B benchmark set: every arm that reports the deterministic work
 # counters (comparisons, radix passes, page I/O) bench-gate diffs.
-ABBENCH = 'RunFormation|SortKeys|TimeToFirstRow|TopKPlanned|Throughput|EntryLayout'
+ABBENCH = 'RunFormation|TimeToFirstRow|TopKPlanned|Throughput'
 # bench-gate tolerance in percent. The gated counters are deterministic,
 # so the slack only absorbs float formatting, not machine variance.
 TOLERANCE ?= 2
@@ -29,11 +29,11 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# A/B ablations — key mode (encoded vs comparator), run formation
-# (compare vs radix vs adaptive), time-to-first-row (pipelined cursor
-# vs full sort vs materialising Execute) and Top-K exit path (planned
-# Limit vs consumer early-Close) — with a benchstat-style delta table, so
-# a regression in any arm is visible at a glance. The bench run lands in
+# A/B ablations — time-to-first-row (pipelined cursor vs full sort vs
+# materialising Execute), Top-K exit path (planned Limit vs consumer
+# early-Close) and row vs chunk execution — with a benchstat-style delta
+# table, so a regression in any arm is visible at a glance; the
+# RunFormation benchmarks ride along for their gated counters. The bench run lands in
 # a temp file first: piping straight into the formatter would let a
 # failing benchmark exit 0 through the pipe.
 bench-ab:

@@ -1,8 +1,9 @@
 package pyro
 
-// Ablation benchmarks for the design choices DESIGN.md calls out: partial
-// sort on/off, phase-2 refinement on/off, deferred fetch vs table scan,
-// favorable orders vs exhaustive enumeration.
+// Ablation benchmarks for the paper's design choices (README, "The sort
+// engine" and "Planning"): partial sort on/off, sort parallelism,
+// phase-2 refinement on/off, deferred fetch vs table scan, favorable
+// orders vs exhaustive enumeration.
 
 import (
 	"fmt"
@@ -13,7 +14,6 @@ import (
 	"pyro/internal/iter"
 	"pyro/internal/storage"
 	"pyro/internal/workload"
-	"pyro/internal/xsort"
 )
 
 func q3World(b *testing.B) (*catalog.Catalog, *storage.Disk) {
@@ -72,21 +72,9 @@ func BenchmarkAblationPartialSortOff(b *testing.B) {
 	benchQ3Execution(b, func(o *core.Options) { o.DisablePartialSort = true })
 }
 
-// BenchmarkAblationNormalizedKeysOn/Off isolate the normalized-key sort
-// engine end to end on the Query 3 merge-join plan: every enforcer in the
-// plan switches between encoded byte-string keys and the field comparator.
-func BenchmarkAblationNormalizedKeysOn(b *testing.B) {
-	benchQ3ExecutionCfg(b, func(*core.Options) {}, func(*core.BuildConfig) {})
-}
-
-func BenchmarkAblationNormalizedKeysOff(b *testing.B) {
-	benchQ3ExecutionCfg(b, func(*core.Options) {},
-		func(c *core.BuildConfig) { c.SortKeys = xsort.KeyComparator })
-}
-
 // BenchmarkAblationSortParallelismOff pins MRS segment sorting to one
 // goroutine (the serial paper algorithm); the On arm is the GOMAXPROCS
-// default of BenchmarkAblationNormalizedKeysOn.
+// default of BenchmarkAblationPartialSortOn.
 func BenchmarkAblationSortParallelismOff(b *testing.B) {
 	benchQ3ExecutionCfg(b, func(*core.Options) {},
 		func(c *core.BuildConfig) { c.SortParallelism = 1 })

@@ -1,11 +1,11 @@
 // Command pyro-abdiff turns `go test -bench` output into a benchstat-style
 // A/B table and, with -baseline, into a CI regression gate.
 //
-// A/B mode (default): sub-benchmarks of one parent (BenchmarkFoo/compare,
-// BenchmarkFoo/radix, ...) are grouped, repeated -count runs are averaged,
+// A/B mode (default): sub-benchmarks of one parent (BenchmarkFoo/row,
+// BenchmarkFoo/chunk, ...) are grouped, repeated -count runs are averaged,
 // and every arm is reported as a delta against the parent's first arm.
 //
-//	go test -run '^$' -bench 'RunFormation|SortKeys' -count 3 . | pyro-abdiff
+//	go test -run '^$' -bench 'TimeToFirstRow|TopKPlanned' -count 3 . | pyro-abdiff
 //
 // Gate mode: -baseline FILE compares the input against a checked-in
 // `go test -bench` output file and exits 1 when a deterministic work
@@ -36,12 +36,10 @@ import (
 // gateMetrics are the units the -baseline gate compares. Everything else
 // (ns/op, B/op, latency percentiles) is informational only.
 var gateMetrics = map[string]bool{
-	"comparisons/op":        true,
-	"radix-passes/op":       true,
-	"merge-bucket-skips/op": true,
-	"flat-run-pages/op":     true,
-	"io-pages/op":           true,
-	"run-pages/op":          true,
+	"comparisons/op":  true,
+	"radix-passes/op": true,
+	"io-pages/op":     true,
+	"run-pages/op":    true,
 	// Throughput arms report the exact drained row count; row and chunk
 	// executor paths must agree on it bit for bit.
 	"rows/op": true,

@@ -49,20 +49,6 @@ func WithSortSpillParallelism(n int) ExecOption {
 	return func(c *execConfig) { c.SortSpillParallelism = n }
 }
 
-// WithSortRunFormation selects the run-formation algorithm for this query
-// (adaptive radix by default; compare pins the comparison sorts).
-func WithSortRunFormation(rf RunFormation) ExecOption {
-	return func(c *execConfig) { c.SortRunFormation = rf }
-}
-
-// WithSortEntryLayout selects the sort enforcers' spill-run representation
-// for this query (flat fixed-width entries with the radix-aware cascade
-// merge by default; tuple pins the legacy payload-only spill format).
-// Result rows and order are identical in every layout.
-func WithSortEntryLayout(lay EntryLayout) ExecOption {
-	return func(c *execConfig) { c.SortEntryLayout = lay }
-}
-
 // WithSortMemoryBlocks overrides the per-sort memory budget M (in disk
 // blocks) for this query. The explicit value is taken literally: the query
 // bypasses the database's sort-memory governor entirely — it takes no
@@ -325,8 +311,6 @@ func (db *Database) Query(ctx context.Context, p *Plan, opts ...ExecOption) (*Cu
 		SortBudget:           budget,
 		SortParallelism:      cfg.SortParallelism,
 		SortSpillParallelism: cfg.SortSpillParallelism,
-		SortRunFormation:     cfg.SortRunFormation,
-		SortEntryLayout:      cfg.SortEntryLayout,
 		SortAbort:            abort,
 		IOTap:                tap,
 		ExecBatchSize:        batch,

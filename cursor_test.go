@@ -320,20 +320,9 @@ func TestCursorExecOptionsOverridePerQuery(t *testing.T) {
 		return cur.Stats()
 	}
 
-	// Run formation: adaptive (the Config default) radix-sorts these large
-	// segments; a per-query compare override must pin it off — and leave
-	// the database default untouched for the next query.
-	adaptive := drain()
-	if adaptive.Sorts[0].RadixPasses == 0 {
-		t.Fatal("default adaptive run formation did no radix work on large segments")
-	}
-	compared := drain(WithSortRunFormation(RunFormationCompare))
-	if compared.Sorts[0].RadixPasses != 0 {
-		t.Fatal("WithSortRunFormation(compare) did not pin the comparison sort")
-	}
-	again := drain()
-	if again.Sorts[0].RadixPasses == 0 {
-		t.Fatal("per-query override leaked into the database config")
+	// Run formation radix-sorts these large segments.
+	if drain().Sorts[0].RadixPasses == 0 {
+		t.Fatal("run formation did no radix work on large segments")
 	}
 
 	// Spill regime: a tiny per-query memory budget forces spilling, and

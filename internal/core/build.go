@@ -23,10 +23,6 @@ type BuildConfig struct {
 	// path). Each enforcer spills into private storage arenas, so
 	// enforcers in one plan never contend on spill state.
 	SortSpillParallelism int
-	// SortKeys selects normalized-key (default) or field-comparator key
-	// comparison in the sort enforcers; the comparator path exists for
-	// ablation.
-	SortKeys xsort.KeyMode
 	// SortAbort, when non-nil, is polled by the sort enforcers'
 	// long-running loops (input consumption, segment collection, spill
 	// merges); its first error aborts the enforcer, which surfaces it from
@@ -34,18 +30,6 @@ type BuildConfig struct {
 	// here so a cancellation reaches a sort that would otherwise block for
 	// its entire input. Must be safe for concurrent use.
 	SortAbort func() error
-	// SortRunFormation selects how enforcers sort in-memory buffers:
-	// MSD radix partitioning of the encoded keys, the comparison sort, or
-	// adaptive (default — radix where it pays). Output key order, run/pass
-	// structure and I/O totals are identical in every mode; see the xsort
-	// package comment for the one caveat (SRS emission order of tuples
-	// with duplicate full sort keys).
-	SortRunFormation xsort.RunFormation
-	// SortEntryLayout selects the spill-run representation: flat
-	// fixed-width entry runs merged radix-aware (default), flat runs under
-	// a comparison heap, or the legacy tuple-only format. Invisible in the
-	// result rows; changes spill I/O shape and merge comparison counts.
-	SortEntryLayout xsort.EntryLayout
 	// IOTap, when non-nil, receives a copy of every I/O charge this plan's
 	// operators cause — scans, deferred fetches, nested-loops spools, and
 	// sort spill arenas all charge it alongside the device ledger. The
@@ -107,9 +91,6 @@ func build(p *Plan, cfg BuildConfig) (exec.Operator, error) {
 		Budget:           cfg.SortBudget,
 		Parallelism:      cfg.SortParallelism,
 		SpillParallelism: cfg.SortSpillParallelism,
-		Keys:             cfg.SortKeys,
-		RunFormation:     cfg.SortRunFormation,
-		EntryLayout:      cfg.SortEntryLayout,
 		Abort:            cfg.SortAbort,
 		Tap:              cfg.IOTap,
 		BatchSize:        cfg.ExecBatchSize,

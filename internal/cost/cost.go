@@ -93,25 +93,10 @@ type Model struct {
 	// only — never from GOMAXPROCS — or plan choice becomes a property of
 	// the optimizing machine.
 	SpillParallelism int
-	// SpillEntryFrac is the I/O surcharge of the flat spill layouts: the
-	// fixed-width entry file each run carries alongside its payload pages,
-	// as a fraction of the payload blocks. Every reduction pass writes and
-	// re-reads it, and the final merge reads it once.
-	SpillEntryFrac float64
 	// KeyEncodeWeight converts one sort-key normalization into I/O units.
-	// Only the tuple spill layout pays it on merge reads: re-reading a
-	// tuple run re-encodes every tuple's key per pass, while flat runs
-	// carry their keys in the entry file — a key is encoded once per sort
-	// at input collection no matter how many passes rewrite its run. This
-	// is the "cheaper flat-run I/O": each flat page read costs just the
-	// transfer, with no per-tuple key work riding on it.
+	// External sorts pay it per tuple on every merge read: spill runs hold
+	// tuple pages only, so each pass re-encodes the keys it reads back.
 	KeyEncodeWeight float64
-	// TupleSpillLayout prices external sorts for the legacy tuple-only
-	// spill format (xsort.LayoutTuple): no entry-file I/O, but every merge
-	// read pays KeyEncodeWeight per tuple. The zero value prices the
-	// default flat layouts — entry-file I/O, encode-free merge reads.
-	// Callers set it from the configured sort entry layout.
-	TupleSpillLayout bool
 }
 
 // DefaultModel mirrors the paper's environment: 4 KiB blocks and M = 10000
@@ -124,7 +109,6 @@ func DefaultModel() Model {
 		HashWeight:       5e-5,
 		TupleWeight:      1e-5,
 		SpillParallelism: 1,
-		SpillEntryFrac:   0.2,
 		KeyEncodeWeight:  2e-5,
 	}
 }
@@ -149,12 +133,9 @@ func (m Model) SortCPU(rows int64) float64 {
 // sort blocks on run formation and the intermediate passes (B·2p/S) but
 // streams the final merge read (B) one block at a time.
 //
-// The spill term is layout-aware: the flat entry layouts inflate every
-// spill transfer by SpillEntryFrac (the entry file travels with the
-// payload), while the tuple layout instead pays KeyEncodeWeight per tuple
-// per merge read — a pass over a tuple run re-normalizes every key. With
-// both refinement knobs zeroed either branch reduces to the paper's
-// B·(2p + 1).
+// Every merge read also pays KeyEncodeWeight per tuple — a pass over a
+// spill run re-normalizes every key it reads back. With KeyEncodeWeight
+// zeroed the cost reduces to the paper's B·(2p + 1).
 func (m Model) FullSort(rows, blocks int64) Cost {
 	if rows <= 1 || blocks <= 0 {
 		return Cost{Rows: rows}
@@ -171,12 +152,7 @@ func (m Model) FullSort(rows, blocks int64) Cost {
 		spill = 1
 	}
 	spillBlocks := float64(blocks)
-	var passCPU float64 // per-pass key work riding on the merge reads
-	if m.TupleSpillLayout {
-		passCPU = float64(rows) * m.KeyEncodeWeight
-	} else {
-		spillBlocks *= 1 + m.SpillEntryFrac
-	}
+	passCPU := float64(rows) * m.KeyEncodeWeight // per-pass key work riding on the merge reads
 	startup := passes * (spillBlocks*2/spill + passCPU)
 	return Cost{
 		Startup: startup,

@@ -22,12 +22,11 @@ func TestFullSortInMemory(t *testing.T) {
 	}
 }
 
-// paperModel zeroes the spill-layout refinement knobs so FullSort reduces
-// to the paper's bare B·(2p + 1); the layout terms are pinned separately in
+// paperModel zeroes the key re-encode refinement so FullSort reduces to
+// the paper's bare B·(2p + 1); the refinement is pinned separately in
 // TestSpillLayoutPricing.
 func paperModel() Model {
 	m := DefaultModel()
-	m.SpillEntryFrac = 0
 	m.KeyEncodeWeight = 0
 	return m
 }
@@ -322,44 +321,30 @@ func TestSortCheaperWithPartialPrefixRealScenario(t *testing.T) {
 	}
 }
 
-// TestSpillLayoutPricing pins the layout-aware spill refinement: the flat
-// entry layouts inflate every spill transfer by the entry-file fraction,
-// the tuple layout instead pays a per-tuple key re-encode on every merge
-// read, and with both knobs zeroed the branches collapse to the same paper
-// formula.
+// TestSpillLayoutPricing pins the spill refinement of the tuple-page run
+// layout: every merge read pays a per-tuple key re-encode on top of the
+// paper's I/O, and with the knob zeroed the formula is the paper's.
 func TestSpillLayoutPricing(t *testing.T) {
 	rows, blocks := int64(2_000_000), int64(50_000)
+	m := DefaultModel()
 
-	flat := DefaultModel()
-	tuple := DefaultModel()
-	tuple.TupleSpillLayout = true
-
-	// Flat: one pass, B·(1+f)·(2 + 1) with f = 0.2 ⇒ 60000·3 = 180000.
-	if got := flat.FullSort(rows, blocks); got.Total != 180_000 {
-		t.Fatalf("flat external sort = %f, want 180000", got.Total)
-	}
-	// Tuple: bare I/O B·3 = 150000 plus the per-pass key work — rows ·
+	// Bare I/O B·3 = 150000 plus the per-pass key work — rows ·
 	// KeyEncodeWeight on the reduction pass and again on the final merge
 	// read: 2·2M·2e-5 = 80.
-	if got := tuple.FullSort(rows, blocks); got.Total != 150_080 {
-		t.Fatalf("tuple external sort = %f, want 150080", got.Total)
+	if got := m.FullSort(rows, blocks); got.Total != 150_080 {
+		t.Fatalf("external sort = %f, want 150080", got.Total)
 	}
-	// The tuple surcharge blocks with its pass and streams with the final
+	// The surcharge blocks with its pass and streams with the final
 	// merge, exactly like the I/O it rides on.
-	if got := tuple.FullSort(rows, blocks); got.Startup != 100_040 {
-		t.Fatalf("tuple external sort startup = %f, want 100040", got.Startup)
+	if got := m.FullSort(rows, blocks); got.Startup != 100_040 {
+		t.Fatalf("external sort startup = %f, want 100040", got.Startup)
 	}
-	// In-memory sorts never touch either knob.
-	if flat.FullSort(1000, 100) != tuple.FullSort(1000, 100) {
-		t.Fatal("entry layout must not reprice in-memory sorts")
+	// In-memory sorts never pay it.
+	if got, want := m.FullSort(1000, 100), paperModel().FullSort(1000, 100); got != want {
+		t.Fatalf("in-memory sort repriced: %+v vs %+v", got, want)
 	}
-	// Zeroed knobs: both layouts price identically at the paper formula.
-	pf, pt := paperModel(), paperModel()
-	pt.TupleSpillLayout = true
-	if pf.FullSort(rows, blocks) != pt.FullSort(rows, blocks) {
-		t.Fatal("zeroed refinement knobs must collapse the layouts")
-	}
-	if pf.FullSort(rows, blocks).Total != 150_000 {
-		t.Fatal("zeroed knobs must recover B·(2p+1)")
+	// Zeroed knob: the paper formula.
+	if paperModel().FullSort(rows, blocks).Total != 150_000 {
+		t.Fatal("zeroed knob must recover B·(2p+1)")
 	}
 }

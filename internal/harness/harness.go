@@ -34,11 +34,6 @@ type Scale struct {
 	// SpillParallelism bounds concurrent spill jobs per enforcer
 	// (0 = inherit SortParallelism, 1 = serial spilling).
 	SpillParallelism int
-	// RunFormation selects the enforcers' run-formation algorithm
-	// (adaptive radix by default; compare pins the paper's comparison
-	// sorts). Identical result key order, run structure and I/O in every
-	// mode, so the experiment tables stay comparable across settings.
-	RunFormation xsort.RunFormation
 	// Limit is the Top-K row count for the limit-aware experiments
 	// (pyro-bench -limit; 0 = the default of 10). The two-phase cost model
 	// plans the Top-K extension experiment under this row budget.
@@ -153,7 +148,6 @@ func buildAndMeasure(disk *storage.Disk, plan *core.Plan, sortBlocks int, scale 
 		SortMemoryBlocks:     sortBlocks,
 		SortParallelism:      scale.SortParallelism,
 		SortSpillParallelism: scale.SpillParallelism,
-		SortRunFormation:     scale.RunFormation,
 	})
 	if err != nil {
 		return runStats{}, err
@@ -195,7 +189,6 @@ func mkSortConfig(disk *storage.Disk, blocks int, scale Scale) xsort.Config {
 		MemoryBlocks:     blocks,
 		Parallelism:      scale.SortParallelism,
 		SpillParallelism: scale.SpillParallelism,
-		RunFormation:     scale.RunFormation,
 	}
 }
 

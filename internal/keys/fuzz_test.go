@@ -60,100 +60,6 @@ func fuzzTuple(data []byte, cols []Col) (types.Tuple, []byte) {
 	return tup, data
 }
 
-// FuzzFixedPrefixAgreesWithFullCompare pins the fixed-width entry
-// contract under fuzzing: for any column spec, any pair of tuples and any
-// prefix width, comparing the AppendFixed prefixes and falling back to the
-// full keys only when BOTH are truncated yields exactly bytes.Compare of
-// the full encodings. The seeds steer the fuzzer at the adversarial
-// shapes: strings sharing long prefixes, keys whose full encoding lands
-// exactly on the cutoff width, NULL markers, and descending (inverted)
-// payloads.
-func FuzzFixedPrefixAgreesWithFullCompare(f *testing.F) {
-	f.Add(7, []byte{})
-	// Shared-prefix strings that diverge past the cutoff.
-	f.Add(5, append([]byte{0x03, 0x01, 0x08}, []byte("aaaaaaaa\x01\x08aaaaaaab")...))
-	// Exact-cutoff lengths: a one-int key is 9 encoded bytes.
-	f.Add(9, []byte{0x00, 0x01, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
-	f.Add(8, []byte{0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x01})
-	// NULLs (control byte 0 => NULL) and desc columns (0x10 bit).
-	f.Add(3, []byte{0x01, 0x13, 0x00, 0x00, 0x05})
-	f.Add(1, bytes.Repeat([]byte{0x00}, 32))
-
-	f.Fuzz(func(t *testing.T, width int, data []byte) {
-		if width < 1 {
-			width = 1
-		}
-		if width > 64 {
-			width = 64
-		}
-		ctl := byte(0)
-		if len(data) > 0 {
-			ctl, data = data[0], data[1:]
-		}
-		ncols := 1 + int(ctl&0x03)
-		cols := make([]Col, ncols)
-		for i := range cols {
-			var b byte
-			if len(data) > 0 {
-				b, data = data[0], data[1:]
-			}
-			cols[i] = Col{
-				Ordinal:   i,
-				Kind:      allKinds[int(b)%len(allKinds)],
-				Desc:      b&0x10 != 0,
-				NullsLast: b&0x20 != 0,
-			}
-		}
-		c, err := New(cols)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var a, b types.Tuple
-		a, data = fuzzTuple(data, cols)
-		b, data = fuzzTuple(data, cols)
-		// Tie leading columns so the interesting divergence sits near (and
-		// past) the cutoff.
-		for i := range cols {
-			if len(data) > 0 && data[0]%3 != 0 {
-				b[i] = a[i]
-			}
-			if len(data) > 0 {
-				data = data[1:]
-			}
-		}
-
-		ka := c.Append(nil, a)
-		kb := c.Append(nil, b)
-		fa, ta := c.AppendFixed(nil, a, width)
-		fb, tb := c.AppendFixed(nil, b, width)
-		if len(fa) != width || len(fb) != width {
-			t.Fatalf("AppendFixed width %d produced %d/%d bytes", width, len(fa), len(fb))
-		}
-		if ta != (len(ka) > width) || tb != (len(kb) > width) {
-			t.Fatalf("truncation flags %v/%v disagree with key lengths %d/%d at width %d",
-				ta, tb, len(ka), len(kb), width)
-		}
-		got := bytes.Compare(fa, fb)
-		if got == 0 {
-			if ta != tb {
-				// Prefix-freeness of the full encoding makes a complete
-				// (zero-padded) key and a truncated key impossible to tie.
-				t.Fatalf("mixed-truncation prefix tie at width %d:\n a=%v key=%x\n b=%v key=%x",
-					width, a, ka, b, kb)
-			}
-			if ta && tb {
-				got = sign(bytes.Compare(ka, kb)) // the blob tie-break
-			}
-		} else {
-			got = sign(got)
-		}
-		if want := sign(bytes.Compare(ka, kb)); got != want {
-			t.Fatalf("width %d spec %+v:\n a=%v key=%x fixed=%x trunc=%v\n b=%v key=%x fixed=%x trunc=%v\n prefix+blob=%d, full=%d",
-				width, cols, a, ka, fa, ta, b, kb, fb, tb, got, want)
-		}
-	})
-}
-
 // FuzzCodecAgreesWithComparator is the package guarantee under fuzzing:
 // for any pair of tuples and any column spec drawn from the input bytes,
 // bytes.Compare over the encoded keys equals the reference comparator

@@ -20,6 +20,8 @@
 //     -0.0 is normalized to +0.0 so it compares equal, matching
 //     types.Datum.Compare;
 //   - Bool is one byte, 0 or 1;
+//   - a NULL-typed column (types.KindNull, e.g. a projected NULL
+//     literal) holds only NULLs, so it encodes as its marker byte alone;
 //   - String escapes 0x00 as {0x00, 0xFF} and terminates with
 //     {0x00, 0x01}, keeping the encoding prefix-free so a short string
 //     sorts before its extensions and later columns cannot bleed in;
@@ -82,7 +84,7 @@ const (
 func New(cols []Col) (*Codec, error) {
 	for _, c := range cols {
 		switch c.Kind {
-		case types.KindInt, types.KindFloat, types.KindString, types.KindBool:
+		case types.KindNull, types.KindInt, types.KindFloat, types.KindString, types.KindBool:
 		default:
 			return nil, fmt.Errorf("keys: unsupported key column kind %v", c.Kind)
 		}
@@ -231,70 +233,6 @@ func (c *Codec) Append(dst []byte, t types.Tuple) []byte {
 	}
 	return dst
 }
-
-// AppendFixed encodes a fixed-width prefix of t's sort key: exactly width
-// bytes are appended — the first width bytes of the full Append encoding,
-// zero-padded when the full key is shorter — and the returned flag reports
-// whether the key was truncated (the full encoding is longer than width).
-//
-// The fixed prefix is the comparison half of a fixed-width sort entry
-// (DuckDB's SortLayout shape): two entries whose prefixes differ are
-// ordered by a plain bytes.Compare of those width bytes, and a tie needs
-// the full key — the overflow "blob" — if and only if BOTH entries report
-// truncated. The mixed case cannot tie: full key encodings are prefix-free
-// (every column terminates itself — see the package comment), so a
-// complete zero-padded key and a longer key can never agree on all width
-// bytes. The fuzz and property tests in this package pin that
-// prefix-compare-then-blob equals bytes.Compare of the full encodings.
-func (c *Codec) AppendFixed(dst []byte, t types.Tuple, width int) ([]byte, bool) {
-	start := len(dst)
-	dst = c.Append(dst, t)
-	n := len(dst) - start
-	if n > width {
-		return dst[:start+width], true
-	}
-	for ; n < width; n++ {
-		dst = append(dst, 0)
-	}
-	return dst, false
-}
-
-// FixedWidthHint recommends a fixed-prefix width for the key columns from
-// position k on (k is the shared-prefix column count a sorter will skip;
-// pass 0 for the whole key). Fixed-size columns contribute their exact
-// encoded size, so keys over ints, floats and bools are never truncated;
-// strings contribute marker + 8 content bytes — enough to separate
-// realistic key strings while keeping entries compact — and the total is
-// capped at fixedWidthCap so one long VARCHAR does not inflate every
-// entry of the sort.
-func (c *Codec) FixedWidthHint(k int) int {
-	if k < 0 || k > len(c.cols) {
-		panic(fmt.Sprintf("keys: prefix %d out of range [0,%d]", k, len(c.cols)))
-	}
-	w := 0
-	for _, col := range c.cols[k:] {
-		switch col.Kind {
-		case types.KindInt, types.KindFloat:
-			w += 9 // marker + 8 payload bytes
-		case types.KindBool:
-			w += 2 // marker + payload byte
-		case types.KindString:
-			w += 9 // marker + 8 content bytes (terminator spills to the blob)
-		}
-		if w >= fixedWidthCap {
-			return fixedWidthCap
-		}
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// fixedWidthCap bounds FixedWidthHint: past this many prefix bytes, wider
-// entries cost more in entry-page I/O and cache footprint than the rare
-// blob tie-break they would avoid.
-const fixedWidthCap = 24
 
 // EncodeBatch appends the sort keys of rows back-to-back to dst and
 // appends each key's end offset — relative to the start of this batch —

@@ -290,9 +290,6 @@ func TestPrefixFreedom(t *testing.T) {
 }
 
 func TestCodecValidation(t *testing.T) {
-	if _, err := New([]Col{{Ordinal: 0, Kind: types.KindNull}}); err == nil {
-		t.Fatal("KindNull key column should be rejected")
-	}
 	if _, err := New([]Col{{Ordinal: -1, Kind: types.KindInt}}); err == nil {
 		t.Fatal("negative ordinal should be rejected")
 	}
@@ -318,113 +315,39 @@ func TestKindMismatchPanics(t *testing.T) {
 	c.Append(nil, types.NewTuple(types.NewString("oops")))
 }
 
-// fixedCompare is the entry-comparison rule under test: compare the fixed
-// prefixes, consult the full keys (the blob) only when both were truncated.
-func fixedCompare(fa, fb []byte, ta, tb bool, ka, kb []byte) int {
-	if c := bytes.Compare(fa, fb); c != 0 {
-		return sign(c)
+// TestNullKindColumn: a NULL-typed key column (types.KindNull — a
+// projected NULL literal) holds only NULLs, so it encodes as its marker
+// byte alone, honours NullsLast, contributes one byte to PrefixLen, and
+// leaves the order to the other key columns.
+func TestNullKindColumn(t *testing.T) {
+	c, err := New([]Col{{Ordinal: 0, Kind: types.KindNull}, {Ordinal: 1, Kind: types.KindInt}})
+	if err != nil {
+		t.Fatalf("KindNull key column rejected: %v", err)
 	}
-	if ta && tb {
-		return sign(bytes.Compare(ka, kb))
+	a := types.NewTuple(types.Null, types.NewInt(1))
+	b := types.NewTuple(types.Null, types.NewInt(2))
+	ka, kb := c.Append(nil, a), c.Append(nil, b)
+	if ka[0] != markerNullFirst || len(ka) != 1+9 {
+		t.Fatalf("key %x: want the NULL marker followed by one int column", ka)
 	}
-	return 0
-}
-
-// TestAppendFixedAdversarial pins the fixed-width prefix + blob tie-break
-// against full bytes.Compare on the hand-picked adversarial shapes: long
-// shared string prefixes, keys landing exactly on the cutoff width, NULL
-// markers in both placements, and descending (payload-inverted) columns.
-func TestAppendFixedAdversarial(t *testing.T) {
-	asc := []Col{{Ordinal: 0, Kind: types.KindString}}
-	desc := []Col{{Ordinal: 0, Kind: types.KindString, Desc: true}}
-	intCols := []Col{{Ordinal: 0, Kind: types.KindInt}, {Ordinal: 1, Kind: types.KindInt}}
-	nullsLast := []Col{{Ordinal: 0, Kind: types.KindInt, NullsLast: true}}
-	cases := []struct {
-		name  string
-		cols  []Col
-		a, b  types.Tuple
-		width int
-	}{
-		{"shared-prefix-diverge-past-cutoff", asc,
-			types.NewTuple(types.NewString("prefixprefixAAA")),
-			types.NewTuple(types.NewString("prefixprefixAAB")), 8},
-		{"one-extends-the-other", asc,
-			types.NewTuple(types.NewString("prefixprefix")),
-			types.NewTuple(types.NewString("prefixprefixA")), 8},
-		{"exact-cutoff-length", asc,
-			// marker + 5 content + 2 terminator = 8 = width exactly.
-			types.NewTuple(types.NewString("abcde")),
-			types.NewTuple(types.NewString("abcde")), 8},
-		{"complete-vs-truncated-at-width", asc,
-			types.NewTuple(types.NewString("abcde")),
-			types.NewTuple(types.NewString("abcdef")), 8},
-		{"nul-escape-straddles-cutoff", asc,
-			types.NewTuple(types.NewString("abc\x00def")),
-			types.NewTuple(types.NewString("abc\x00dex")), 5},
-		{"null-vs-value", nullsLast,
-			types.NewTuple(types.Null),
-			types.NewTuple(types.NewInt(42)), 4},
-		{"desc-shared-prefix", desc,
-			types.NewTuple(types.NewString("zzzzzzzzzz1")),
-			types.NewTuple(types.NewString("zzzzzzzzzz2")), 6},
-		{"second-int-truncated", intCols,
-			types.NewTuple(types.NewInt(7), types.NewInt(100)),
-			types.NewTuple(types.NewInt(7), types.NewInt(200)), 12},
-		{"equal-truncated", intCols,
-			types.NewTuple(types.NewInt(7), types.NewInt(100)),
-			types.NewTuple(types.NewInt(7), types.NewInt(100)), 12},
+	if bytes.Compare(ka, kb) >= 0 {
+		t.Fatalf("keys %x / %x do not order by the int column", ka, kb)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			c, err := New(tc.cols)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ka, kb := c.Append(nil, tc.a), c.Append(nil, tc.b)
-			fa, ta := c.AppendFixed(nil, tc.a, tc.width)
-			fb, tb := c.AppendFixed(nil, tc.b, tc.width)
-			if len(fa) != tc.width || len(fb) != tc.width {
-				t.Fatalf("widths %d/%d, want %d", len(fa), len(fb), tc.width)
-			}
-			got := fixedCompare(fa, fb, ta, tb, ka, kb)
-			if want := sign(bytes.Compare(ka, kb)); got != want {
-				t.Fatalf("fixed compare = %d, full compare = %d\n a key=%x fixed=%x trunc=%v\n b key=%x fixed=%x trunc=%v",
-					got, want, ka, fa, ta, kb, fb, tb)
-			}
-		})
+	if n := c.PrefixLen(a, 1); n != 1 {
+		t.Fatalf("PrefixLen over the NULL column = %d, want 1", n)
 	}
-}
-
-// TestFixedWidthHint pins the width heuristic: fixed-size columns are never
-// truncated, strings get a bounded prefix, and the cap bounds the total.
-func TestFixedWidthHint(t *testing.T) {
-	c, err := New([]Col{
-		{Ordinal: 0, Kind: types.KindInt},
-		{Ordinal: 1, Kind: types.KindInt},
-	})
+	last, err := New([]Col{{Ordinal: 0, Kind: types.KindNull, NullsLast: true, Desc: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w := c.FixedWidthHint(0); w != 18 {
-		t.Errorf("two ints: hint = %d, want 18", w)
+	if k := last.Append(nil, a); !bytes.Equal(k, []byte{markerNullLast}) {
+		t.Fatalf("nulls-last key = %x, want %x", k, []byte{markerNullLast})
 	}
-	if w := c.FixedWidthHint(1); w != 9 {
-		t.Errorf("int suffix: hint = %d, want 9", w)
-	}
-	// A full two-int key never truncates at its hint width.
-	tup := types.NewTuple(types.NewInt(-5), types.NewInt(9))
-	if _, trunc := c.AppendFixed(nil, tup, c.FixedWidthHint(0)); trunc {
-		t.Error("fixed-size key truncated at its own hint width")
-	}
-	long, err := New([]Col{
-		{Ordinal: 0, Kind: types.KindString},
-		{Ordinal: 1, Kind: types.KindString},
-		{Ordinal: 2, Kind: types.KindString},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w := long.FixedWidthHint(0); w != fixedWidthCap {
-		t.Errorf("three strings: hint = %d, want cap %d", w, fixedWidthCap)
+	ks := types.MustKeySpec(types.NewSchema(
+		types.Column{Name: "n", Kind: types.KindNull},
+		types.Column{Name: "k", Kind: types.KindInt},
+	), sortord.New("n", "k"))
+	if _, err := FromKeySpec(ks); err != nil {
+		t.Fatalf("FromKeySpec over a NULL-typed column: %v", err)
 	}
 }

@@ -3,7 +3,8 @@
 // in-memory "files"; every page read or write is charged to an IOStats
 // counter. The experiments in the paper compare plans by I/O behaviour, so
 // exact accounting of block transfers — not wall-clock disk latency — is the
-// property the substitution must preserve (see DESIGN.md).
+// property the substitution must preserve (see the README, "The simulated
+// device and scaled workloads").
 //
 // The device is a thin sharded front-end: page I/O charges a lock-free
 // atomic ledger and never takes the device-wide mutex (which guards only

@@ -202,9 +202,10 @@ func (ks KeySpec) ComparePrefix(a, b Tuple, k int) int {
 	return 0
 }
 
-// CompareSuffix compares only the key attributes from position k on. MRS
-// uses this within a partial-sort segment, where the first k attributes are
-// equal by construction.
+// CompareSuffix compares only the key attributes from position k on — the
+// order within an MRS partial-sort segment, where the first k attributes
+// are equal by construction. The sorts compare encoded key suffixes
+// instead; this is the field-by-field reference they must agree with.
 func (ks KeySpec) CompareSuffix(a, b Tuple, k int) int {
 	for _, ord := range ks.Ordinals[k:] {
 		if c := a[ord].Compare(b[ord]); c != 0 {

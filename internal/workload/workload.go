@@ -2,8 +2,8 @@
 // experiment in the paper's evaluation (§6), scaled to run on a laptop-size
 // simulated disk while preserving the structural properties each experiment
 // depends on (clustering orders, covering indices, key multiplicities, and
-// the ratio of relation size to sort memory). See DESIGN.md for the
-// substitution rationale.
+// the ratio of relation size to sort memory). The README section "The
+// simulated device and scaled workloads" gives the substitution rationale.
 //
 // All generation is deterministic (fixed seeds) so experiment output is
 // reproducible run to run.

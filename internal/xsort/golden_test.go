@@ -11,14 +11,19 @@ import (
 	"pyro/internal/types"
 )
 
-// The golden values below were captured from the pre-arena serial spill
-// path (PR 1, commit c12f98e) on the fixed workload of goldenRows: 6000
-// rows in 3 oversized segments, 512-byte pages. They pin the refactored
-// spill subsystem to the paper's serial algorithm byte for byte — output
-// sequence (order-sensitive FNV checksum of the encoded tuples), comparison
-// counts, run/pass structure and I/O totals. Any change to these numbers is
-// a semantic change to the sort, not a scheduling change, and must be
-// deliberate.
+// The golden values below pin the spill path on the fixed workload of
+// goldenRows: 6000 rows in 3 oversized segments, 512-byte pages. The
+// output sequence (order-sensitive FNV checksum of the encoded tuples),
+// run/pass structure and I/O totals were captured from the paper's serial
+// algorithm before the spill path went concurrent and have not moved
+// since: run boundaries follow from the memory budget, not from how a
+// buffer is sorted. Any change to these numbers is a semantic change to
+// the sort, not a scheduling change, and must be deliberate.
+//
+// At M = 8 (MRS) and M = 4 (SRS) blocks of 512 bytes a memory batch holds
+// ~33 tuples, below adaptiveMinTuples, so every batch is comparison-sorted.
+// TestGoldenRadixAgrees re-runs the workload with batches large enough to
+// radix-partition.
 const (
 	goldenChecksum = 0x5cfb849c70b9843d
 
@@ -55,17 +60,13 @@ func orderChecksum(rows []types.Tuple) uint64 {
 
 // TestGoldenSerialSpill pins the Parallelism=1 spill path — for both MRS
 // (3 oversized segments) and SRS (shuffled input, tiny memory) — to the
-// values the pre-refactor serial implementation produced. Run formation is
-// pinned to the comparison sort: the golden comparison counts are
-// comparison-path numbers (radix mode spends its work in RadixPasses
-// instead; TestGoldenRadixAgrees holds it to the same output and
-// structure).
+// golden output, comparison counts, run/pass structure and I/O.
 func TestGoldenSerialSpill(t *testing.T) {
 	t.Run("mrs", func(t *testing.T) {
 		d := storage.NewDisk(512)
 		m, err := NewMRS(iter.FromSlice(goldenRows()), sortSchema,
 			sortord.New("c1", "c2"), sortord.New("c1"),
-			Config{Disk: d, MemoryBlocks: 8, Parallelism: 1, RunFormation: RunFormCompare, EntryLayout: LayoutTuple})
+			Config{Disk: d, MemoryBlocks: 8, Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +100,7 @@ func TestGoldenSerialSpill(t *testing.T) {
 		d := storage.NewDisk(512)
 		s, err := NewSRS(iter.FromSlice(goldenShuffled()), sortSchema,
 			sortord.New("c1", "c2"),
-			Config{Disk: d, MemoryBlocks: 4, Parallelism: 1, RunFormation: RunFormCompare, EntryLayout: LayoutTuple})
+			Config{Disk: d, MemoryBlocks: 4, Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,6 +127,73 @@ func TestGoldenSerialSpill(t *testing.T) {
 	})
 }
 
+// TestGoldenRadixAgrees holds radix run formation to the golden output at
+// every parallelism level, with run/pass structure, comparisons and I/O
+// independent of parallelism. With 64 blocks a memory batch holds ~250
+// tuples, so run formation radix-partitions it.
+func TestGoldenRadixAgrees(t *testing.T) {
+	type shape struct {
+		runs, passes    int
+		comparisons, io int64
+	}
+	var mrsBase, srsBase shape
+	for _, par := range []int{1, 2, 4, 8} {
+		d := storage.NewDisk(512)
+		m, err := NewMRS(iter.FromSlice(goldenRows()), sortSchema,
+			sortord.New("c1", "c2"), sortord.New("c1"),
+			Config{Disk: d, MemoryBlocks: 64, Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := iter.Drain(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := m.Stats()
+		if got := orderChecksum(out); got != goldenChecksum {
+			t.Errorf("par=%d: MRS checksum = %#x, golden %#x", par, got, goldenChecksum)
+		}
+		if st.RadixPasses == 0 || st.SpilledSegs == 0 {
+			t.Errorf("par=%d: MRS did not radix-sort spilled batches: %+v", par, st)
+		}
+		if got := (shape{st.RunsGenerated, st.MergePasses, st.Comparisons, d.Stats().Total()}); par == 1 {
+			mrsBase = got
+		} else if got != mrsBase {
+			t.Errorf("par=%d: MRS runs/passes/comparisons/IO = %+v, serial %+v", par, got, mrsBase)
+		}
+		if names := d.FileNames(); len(names) != 0 {
+			t.Errorf("par=%d: MRS leaked files %v", par, names)
+		}
+
+		d2 := storage.NewDisk(512)
+		s, err := NewSRS(iter.FromSlice(goldenShuffled()), sortSchema,
+			sortord.New("c1", "c2"),
+			Config{Disk: d2, MemoryBlocks: 64, SpillParallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err = iter.Drain(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st = s.Stats()
+		if got := orderChecksum(out); got != goldenChecksum {
+			t.Errorf("par=%d: SRS checksum = %#x, golden %#x", par, got, goldenChecksum)
+		}
+		if st.RadixPasses == 0 || st.RunsGenerated == 0 {
+			t.Errorf("par=%d: SRS did not radix-sort a spilling fill: %+v", par, st)
+		}
+		if got := (shape{st.RunsGenerated, st.MergePasses, st.Comparisons, d2.Stats().Total()}); par == 1 {
+			srsBase = got
+		} else if got != srsBase {
+			t.Errorf("par=%d: SRS runs/passes/comparisons/IO = %+v, serial %+v", par, got, srsBase)
+		}
+		if names := d2.FileNames(); len(names) != 0 {
+			t.Errorf("par=%d: SRS leaked files %v", par, names)
+		}
+	}
+}
+
 // TestGoldenParallelSpillAgrees runs the identical workloads at several
 // parallelism levels and demands the exact golden output order, comparison
 // counts and I/O totals — parallel spilling must be a pure scheduling
@@ -135,7 +203,7 @@ func TestGoldenParallelSpillAgrees(t *testing.T) {
 		d := storage.NewDisk(512)
 		m, err := NewMRS(iter.FromSlice(goldenRows()), sortSchema,
 			sortord.New("c1", "c2"), sortord.New("c1"),
-			Config{Disk: d, MemoryBlocks: 8, Parallelism: par, RunFormation: RunFormCompare, EntryLayout: LayoutTuple})
+			Config{Disk: d, MemoryBlocks: 8, Parallelism: par})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +232,7 @@ func TestGoldenParallelSpillAgrees(t *testing.T) {
 		d2 := storage.NewDisk(512)
 		s, err := NewSRS(iter.FromSlice(goldenShuffled()), sortSchema,
 			sortord.New("c1", "c2"),
-			Config{Disk: d2, MemoryBlocks: 4, SpillParallelism: par, RunFormation: RunFormCompare, EntryLayout: LayoutTuple})
+			Config{Disk: d2, MemoryBlocks: 4, SpillParallelism: par})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,70 +248,6 @@ func TestGoldenParallelSpillAgrees(t *testing.T) {
 		}
 		if io := d2.Stats(); io.Total() != goldenSRSIOTotal {
 			t.Errorf("par=%d: SRS IO total = %d, golden %d", par, io.Total(), goldenSRSIOTotal)
-		}
-	}
-}
-
-// TestGoldenRadixAgrees holds radix (and adaptive) run formation to the
-// golden output order, run/pass structure and I/O totals at every
-// parallelism level: switching the run-formation algorithm is a pure
-// work-accounting change, never a semantic one. Comparison counts are the
-// one golden deliberately NOT asserted — radix spends that work in
-// byte-bucket passes (RadixPasses/RadixBucketScans) instead.
-func TestGoldenRadixAgrees(t *testing.T) {
-	for _, rf := range []RunFormation{RunFormRadix, RunFormAdaptive} {
-		for _, par := range []int{1, 2, 4, 8} {
-			d := storage.NewDisk(512)
-			m, err := NewMRS(iter.FromSlice(goldenRows()), sortSchema,
-				sortord.New("c1", "c2"), sortord.New("c1"),
-				Config{Disk: d, MemoryBlocks: 8, Parallelism: par, RunFormation: rf, EntryLayout: LayoutTuple})
-			if err != nil {
-				t.Fatal(err)
-			}
-			out, err := iter.Drain(m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			st := m.Stats()
-			if got := orderChecksum(out); got != goldenChecksum {
-				t.Errorf("%v par=%d: MRS checksum = %#x, golden %#x", rf, par, got, goldenChecksum)
-			}
-			if st.RunsGenerated != goldenMRSRuns || st.MergePasses != goldenMRSPasses {
-				t.Errorf("%v par=%d: MRS runs/passes = %d/%d, golden %d/%d",
-					rf, par, st.RunsGenerated, st.MergePasses, goldenMRSRuns, goldenMRSPasses)
-			}
-			if rf == RunFormRadix && st.RadixPasses == 0 {
-				t.Errorf("par=%d: forced radix MRS recorded no radix passes: %+v", par, st)
-			}
-			if io := d.Stats(); io.Total() != goldenMRSIOTotal {
-				t.Errorf("%v par=%d: MRS IO total = %d, golden %d", rf, par, io.Total(), goldenMRSIOTotal)
-			}
-			if names := d.FileNames(); len(names) != 0 {
-				t.Errorf("%v par=%d: leaked files %v", rf, par, names)
-			}
-
-			d2 := storage.NewDisk(512)
-			s, err := NewSRS(iter.FromSlice(goldenShuffled()), sortSchema,
-				sortord.New("c1", "c2"),
-				Config{Disk: d2, MemoryBlocks: 4, SpillParallelism: par, RunFormation: rf, EntryLayout: LayoutTuple})
-			if err != nil {
-				t.Fatal(err)
-			}
-			out, err = iter.Drain(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			st = s.Stats()
-			if got := orderChecksum(out); got != goldenChecksum {
-				t.Errorf("%v par=%d: SRS checksum = %#x, golden %#x", rf, par, got, goldenChecksum)
-			}
-			if st.RunsGenerated != goldenSRSRuns || st.MergePasses != goldenSRSPasses {
-				t.Errorf("%v par=%d: SRS runs/passes = %d/%d, golden %d/%d",
-					rf, par, st.RunsGenerated, st.MergePasses, goldenSRSRuns, goldenSRSPasses)
-			}
-			if io := d2.Stats(); io.Total() != goldenSRSIOTotal {
-				t.Errorf("%v par=%d: SRS IO total = %d, golden %d", rf, par, io.Total(), goldenSRSIOTotal)
-			}
 		}
 	}
 }

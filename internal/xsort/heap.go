@@ -18,7 +18,7 @@ type runEntry struct {
 // Key comparisons are counted into *comparisons; tag comparisons are not
 // (they are integer checks, not the multi-attribute comparisons the paper's
 // analysis counts). Key bytes are excluded from memBytes so the M-block
-// budget keeps the paper's tuple-size arithmetic regardless of key mode.
+// budget keeps the paper's tuple-size arithmetic.
 type runHeap struct {
 	entries     []runEntry // slot-stable storage; holes are reused via free
 	heap        []int32    // heap order: slots into entries

@@ -8,11 +8,10 @@ import (
 	"pyro/internal/types"
 )
 
-// keyed is a tuple paired with its normalized sort key. In encoded mode the
-// key is an order-preserving byte string (see package keys) and comparisons
-// are a single bytes.Compare; in comparator mode key is nil and comparisons
-// fall back to the field-by-field comparator. Keys are never decoded: the
-// tuple rides along and is what gets emitted or spilled.
+// keyed is a tuple paired with its normalized sort key: an
+// order-preserving byte string (see package keys), so comparisons are a
+// single bytes.Compare. Keys are never decoded: the tuple rides along and
+// is what gets emitted or spilled.
 type keyed struct {
 	key []byte
 	t   types.Tuple
@@ -22,8 +21,7 @@ type keyed struct {
 // not safe for concurrent use (it reuses a scratch buffer and an arena);
 // compare is pure and may be called from parallel segment sorters.
 type keyer struct {
-	codec *keys.Codec                // nil => comparator mode
-	cmp   func(a, b types.Tuple) int // comparator mode / fallback
+	codec *keys.Codec // nil => attach no keys (MRS passthrough never compares)
 	// skip is the number of leading encoded-key bytes every key this keyer
 	// compares is known to share. MRS binds one skip-carrying keyer per
 	// partial-sort segment (the encoded byte length of the segment's
@@ -39,24 +37,11 @@ type keyer struct {
 
 const arenaBlockSize = 64 << 10
 
-// newKeyer builds a keyer for the given mode. codec may be nil even in
-// encoded mode (unsupported key shape), in which case the comparator is
-// used — callers pass the codec they managed to build.
-func newKeyer(mode KeyMode, codec *keys.Codec, cmp func(a, b types.Tuple) int) *keyer {
-	if mode == KeyComparator {
-		codec = nil
-	}
-	return &keyer{codec: codec, cmp: cmp}
-}
-
-// encoded reports whether keys are normalized byte strings.
-func (k *keyer) encoded() bool { return k.codec != nil }
-
-// clone returns a keyer with the same codec, comparator and skip but
+// clone returns a keyer with the same codec and skip but
 // private scratch buffers. Workers that need wrap — run merges re-encode
 // keys as they read tuples back — must each hold their own clone; sharing
 // one keyer across goroutines is only safe for compare.
-func (k *keyer) clone() *keyer { return &keyer{codec: k.codec, cmp: k.cmp, skip: k.skip} }
+func (k *keyer) clone() *keyer { return &keyer{codec: k.codec, skip: k.skip} }
 
 // withSkip returns a clone that compares keys past the first skip encoded
 // bytes. The caller guarantees every key the clone will ever see shares
@@ -125,10 +110,7 @@ func (k *keyer) wrapBatch(rows []types.Tuple, out []keyed) []keyed {
 // compare orders two keyed tuples. Callers count comparisons; compare does
 // not touch shared state and is safe to call concurrently.
 func (k *keyer) compare(a, b keyed) int {
-	if k.codec != nil {
-		return bytes.Compare(a.key[k.skip:], b.key[k.skip:])
-	}
-	return k.cmp(a.t, b.t)
+	return bytes.Compare(a.key[k.skip:], b.key[k.skip:])
 }
 
 // sortKeyed stable-sorts buf under the keyer, returning the emission order

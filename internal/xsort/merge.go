@@ -98,93 +98,50 @@ func (m *runMerger) next() (types.Tuple, bool, error) {
 	return out, true, nil
 }
 
-// mergeTally is the work done by one group merge, tallied locally so
-// concurrent group merges can publish once and the caller can fold counts
-// in deterministic group order.
-type mergeTally struct {
-	comparisons int64
-	bucketSkips int64
-	pages       int64 // entry pages written by the merged output run
-}
-
-func (t mergeTally) addTo(st *SortStats) {
-	st.Comparisons += t.comparisons
-	st.MergeBucketSkips += t.bucketSkips
-	st.FlatRunPages += t.pages
-}
-
 // mergeGroup merges a group of runs into one fresh run in ns, removing the
-// consumed inputs on success. The work tally is returned rather than
+// consumed inputs on success. The comparison count is returned rather than
 // accumulated so concurrent group merges can tally locally and the caller
 // can fold counts in deterministic group order. The keyer is cloned first:
-// merging may re-encode keys as tuples come off disk (keyer.wrap mutates
+// merging re-encodes keys as tuples come off disk (keyer.wrap mutates
 // scratch buffers), and group merges run concurrently. abort (nil = never)
 // is polled per merged tuple at the guard stride; it may be shared with
 // other concurrent merges, so each call takes its own Guard.
-//
-// In the flat layouts the output run's entries are copied from the winning
-// input entries (prefix and tie flag verbatim, fresh row ordinals): a key
-// is encoded once per sort no matter how many passes rewrite its run.
-func mergeGroup(ns storage.TempSpace, prefix string, group []spillRun, ky *keyer, lay entryLayout, abort func() error) (spillRun, mergeTally, error) {
+func mergeGroup(ns storage.TempSpace, prefix string, group []*storage.File, ky *keyer, abort func() error) (*storage.File, int64, error) {
 	ky = ky.clone()
 	guard := iter.NewGuard(abort)
-	var tally mergeTally
-	w := newRunWriter(ns, prefix, lay, ky.skip)
-	fail := func(err error) (spillRun, mergeTally, error) {
-		w.abandon()
-		return spillRun{}, tally, err
+	var comparisons int64
+	merged := ns.CreateTemp(prefix, storage.KindRun)
+	w := storage.NewTupleWriter(merged)
+	fail := func(err error) (*storage.File, int64, error) {
+		ns.Remove(merged.Name())
+		return nil, comparisons, err
 	}
-	if lay.flat() {
-		m, err := newFlatMerger(group, ky, lay, &tally.comparisons, &tally.bucketSkips)
-		if err != nil {
-			return fail(err)
-		}
-		for {
-			if err := guard.Check(); err != nil {
-				return fail(err)
-			}
-			p, trunc, t, ok, err := m.nextEntry()
-			if err != nil {
-				return fail(err)
-			}
-			if !ok {
-				break
-			}
-			if err := w.writeEntry(p, trunc, t); err != nil {
-				return fail(err)
-			}
-		}
-	} else {
-		m, err := newRunMerger(payloadFiles(group), ky, &tally.comparisons)
-		if err != nil {
-			return fail(err)
-		}
-		for {
-			if err := guard.Check(); err != nil {
-				return fail(err)
-			}
-			t, ok, err := m.next()
-			if err != nil {
-				return fail(err)
-			}
-			if !ok {
-				break
-			}
-			if err := w.write(keyed{t: t}); err != nil {
-				return fail(err)
-			}
-		}
-	}
-	merged, pages, err := w.close()
+	m, err := newRunMerger(group, ky, &comparisons)
 	if err != nil {
-		// close already removed the partial output.
-		return spillRun{}, tally, err
+		return fail(err)
 	}
-	tally.pages = pages
+	for {
+		if err := guard.Check(); err != nil {
+			return fail(err)
+		}
+		t, ok, err := m.next()
+		if err != nil {
+			return fail(err)
+		}
+		if !ok {
+			break
+		}
+		if err := w.Write(t); err != nil {
+			return fail(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		return fail(err)
+	}
 	for _, g := range group {
-		g.remove(ns)
+		ns.Remove(g.Name())
 	}
-	return merged, tally, nil
+	return merged, comparisons, nil
 }
 
 // reduceRuns repeatedly merges groups of up to fanIn runs into larger runs
@@ -197,18 +154,18 @@ func mergeGroup(ns storage.TempSpace, prefix string, group []spillRun, ky *keyer
 // identical to the serial pass (consecutive runs, left to right) and each
 // group's comparison count folds into stats in group order, so comparison
 // and I/O totals match the serial path exactly.
-func reduceRuns(cfg Config, ns storage.TempSpace, runs []spillRun, ky *keyer, lay entryLayout, stats *SortStats) ([]spillRun, error) {
+func reduceRuns(cfg Config, ns storage.TempSpace, runs []*storage.File, ky *keyer, stats *SortStats) ([]*storage.File, error) {
 	fanIn := cfg.fanIn()
 	par := cfg.spillParallelism()
 	for len(runs) > fanIn {
 		stats.MergePasses++
 		nGroups := numGroups(fanIn, len(runs))
-		next := make([]spillRun, nGroups)
-		tallies := make([]mergeTally, nGroups)
+		next := make([]*storage.File, nGroups)
+		counts := make([]int64, nGroups)
 		errs := make([]error, nGroups)
 		if par <= 1 {
 			for g := 0; g < nGroups; g++ {
-				next[g], tallies[g], errs[g] = reduceOneGroup(cfg, ns, runs, g, ky, lay)
+				next[g], counts[g], errs[g] = reduceOneGroup(cfg, ns, runs, g, ky)
 			}
 		} else {
 			sem := make(chan struct{}, par)
@@ -220,13 +177,13 @@ func reduceRuns(cfg Config, ns storage.TempSpace, runs []spillRun, ky *keyer, la
 					sem <- struct{}{}
 					defer func() { <-sem }()
 					defer recoverWorker(&errs[g])
-					next[g], tallies[g], errs[g] = reduceOneGroup(cfg, ns, runs, g, ky, lay)
+					next[g], counts[g], errs[g] = reduceOneGroup(cfg, ns, runs, g, ky)
 				}(g)
 			}
 			wg.Wait()
 		}
 		for g := 0; g < nGroups; g++ {
-			tallies[g].addTo(stats)
+			stats.Comparisons += counts[g]
 			if errs[g] != nil {
 				return nil, errs[g]
 			}
@@ -256,11 +213,11 @@ func numGroups(fanIn, n int) int { return (n + fanIn - 1) / fanIn }
 
 // reduceOneGroup merges the g-th fan-in group of runs (a single-run group
 // passes through unmerged, as in the serial algorithm).
-func reduceOneGroup(cfg Config, ns storage.TempSpace, runs []spillRun, g int, ky *keyer, lay entryLayout) (spillRun, mergeTally, error) {
+func reduceOneGroup(cfg Config, ns storage.TempSpace, runs []*storage.File, g int, ky *keyer) (*storage.File, int64, error) {
 	lo, hi := groupBounds(g, cfg.fanIn(), len(runs))
 	group := runs[lo:hi]
 	if len(group) == 1 {
-		return group[0], mergeTally{}, nil
+		return group[0], 0, nil
 	}
-	return mergeGroup(ns, cfg.TempPrefix, group, ky, lay, cfg.Abort)
+	return mergeGroup(ns, cfg.TempPrefix, group, ky, cfg.Abort)
 }

@@ -64,8 +64,6 @@ type MRS struct {
 	prefix int           // |given|
 	par    int           // resolved segment-sort parallelism
 	spar   int           // resolved spill parallelism
-	rf     RunFormation
-	lay    entryLayout
 	stats  SortStats
 
 	// Input state.
@@ -113,9 +111,9 @@ type segCollector struct {
 type spillState struct {
 	arena  *storage.SpillArena
 	ky     *keyer
-	runs   []spillRun  // serial-mode formation runs
-	jobs   []*flushJob // parallel-mode formation jobs, dispatch order
-	reaped int         // jobs whose buffers the consumer has returned to the budget
+	runs   []*storage.File // serial-mode formation runs
+	jobs   []*flushJob     // parallel-mode formation jobs, dispatch order
+	reaped int             // jobs whose buffers the consumer has returned to the budget
 }
 
 // flushJob is one parallel run-formation unit: sort one memory batch of an
@@ -126,8 +124,7 @@ type flushJob struct {
 	buf      []keyed
 	memBytes int64
 	done     chan struct{}
-	run      spillRun
-	pages    int64 // entry pages the run occupies (flat layouts)
+	run      *storage.File
 	tally    sortTally
 	err      error
 }
@@ -152,7 +149,7 @@ type segment struct {
 	sp       *spillState
 
 	pos     int
-	merging merger
+	merging *runMerger
 }
 
 // pumpQuantum is how many input tuples one emitted tuple "buys" of
@@ -177,9 +174,10 @@ func NewMRS(input iter.Iterator, schema *types.Schema, target, given sortord.Ord
 	if err != nil {
 		return nil, err
 	}
-	// As in NewSRS: an unencodable key shape degrades to the comparator,
-	// it never fails the sort.
-	codec, _ := keys.FromKeySpec(ks)
+	codec, err := keys.FromKeySpec(ks)
+	if err != nil {
+		return nil, err
+	}
 	if cfg.TempPrefix == "" {
 		cfg.TempPrefix = "mrs"
 	}
@@ -187,14 +185,10 @@ func NewMRS(input iter.Iterator, schema *types.Schema, target, given sortord.Ord
 	// Keys are full target-order encodings; each segment binds a keyer
 	// whose skip covers the encoded `given` prefix (constant within the
 	// segment by definition), so segment comparisons still touch only the
-	// suffix bytes. The comparator fallback compares the suffix directly.
-	// Versus the earlier suffix-only codec this spends one prefix encode
-	// per tuple (and its key-arena bytes) to keep a single codec across
-	// all segments, give radix a known seed depth instead of a prefix
-	// rescan, and keep every key a complete target-order encoding — the
-	// shape a future radix-aware merge of segment runs needs.
-	suffixCmp := func(a, b types.Tuple) int { return ks.CompareSuffix(a, b, prefix) }
-	ky := newKeyer(cfg.Keys, codec, suffixCmp)
+	// suffix bytes. Versus a suffix-only codec this spends one prefix
+	// encode per tuple (and its key-arena bytes) to keep a single codec
+	// across all segments and give radix a known seed depth instead of a
+	// prefix rescan.
 	return &MRS{
 		input:       input,
 		schema:      schema,
@@ -202,12 +196,10 @@ func NewMRS(input iter.Iterator, schema *types.Schema, target, given sortord.Ord
 		given:       given.Clone(),
 		cfg:         cfg,
 		ks:          ks,
-		ky:          ky,
+		ky:          &keyer{codec: codec},
 		prefix:      prefix,
 		par:         cfg.parallelism(),
 		spar:        cfg.spillParallelism(),
-		rf:          cfg.RunFormation,
-		lay:         resolveLayout(cfg, ky, prefix),
 		guard:       iter.NewGuard(cfg.Abort),
 		passthrough: prefix == target.Len(),
 	}, nil
@@ -218,7 +210,7 @@ func NewMRS(input iter.Iterator, schema *types.Schema, target, given sortord.Ord
 // on the segment's first tuple — prefix columns of variable width make it
 // segment-specific).
 func (m *MRS) segmentKeyer(first types.Tuple) *keyer {
-	if m.prefix == 0 || !m.ky.encoded() {
+	if m.prefix == 0 {
 		return m.ky.withSkip(0)
 	}
 	return m.ky.withSkip(m.ky.codec.PrefixLen(first, m.prefix))
@@ -242,10 +234,10 @@ func (m *MRS) Open() error {
 	}
 	// The source wraps each tuple with its sort key as it is pulled. A
 	// passthrough (given == target) never compares keys, so it gets a
-	// comparator-mode keyer and skips the encodes entirely.
+	// codec-less keyer and skips the encodes entirely.
 	ky := m.ky
 	if m.passthrough {
-		ky = &keyer{cmp: m.ky.cmp}
+		ky = &keyer{}
 	}
 	m.src = newTupleSource(m.input, m.schema, ky, m.cfg)
 	kt, ok, err := m.src.next()
@@ -362,11 +354,11 @@ func (m *MRS) adopt(seg *segment) error {
 		}()
 		runs, err := m.segmentRuns(seg.sp)
 		if err == nil {
-			runs, err = reduceRuns(m.cfg, seg.sp.arena, runs, seg.ky, m.lay, &m.stats)
+			runs, err = reduceRuns(m.cfg, seg.sp.arena, runs, seg.ky, &m.stats)
 		}
 		if err == nil {
 			seg.sp.runs = runs
-			seg.merging, err = openMerger(runs, seg.ky, m.lay, &m.stats)
+			seg.merging, err = newRunMerger(runs, seg.ky, &m.stats.Comparisons)
 		}
 		if err != nil {
 			return err
@@ -385,7 +377,7 @@ func (m *MRS) adopt(seg *segment) error {
 // remaining passes (rare) fall to reduceRuns afterwards. Comparison counts
 // fold in deterministic order — formation jobs first (dispatch order), then
 // merge groups (group order) — so totals equal the serial path's.
-func (m *MRS) segmentRuns(sp *spillState) ([]spillRun, error) {
+func (m *MRS) segmentRuns(sp *spillState) ([]*storage.File, error) {
 	if len(sp.jobs) == 0 {
 		return sp.runs, nil
 	}
@@ -395,7 +387,7 @@ func (m *MRS) segmentRuns(sp *spillState) ([]spillRun, error) {
 		if err := m.harvestJobs(sp); err != nil {
 			return nil, err
 		}
-		runs := make([]spillRun, len(sp.jobs))
+		runs := make([]*storage.File, len(sp.jobs))
 		for i, j := range sp.jobs {
 			runs[i] = j.run
 		}
@@ -407,10 +399,10 @@ func (m *MRS) segmentRuns(sp *spillState) ([]spillRun, error) {
 	// Groups are consecutive in dispatch order — exactly the serial pass.
 	m.stats.MergePasses++
 	type groupRes struct {
-		out   spillRun
-		tally mergeTally
-		err   error
-		done  chan struct{}
+		out         *storage.File
+		comparisons int64
+		err         error
+		done        chan struct{}
 	}
 	nGroups := numGroups(fanIn, len(sp.jobs))
 	groups := make([]*groupRes, nGroups)
@@ -422,7 +414,7 @@ func (m *MRS) segmentRuns(sp *spillState) ([]spillRun, error) {
 		go func(jobs []*flushJob, res *groupRes) {
 			defer close(res.done)
 			defer recoverWorker(&res.err)
-			runs := make([]spillRun, 0, len(jobs))
+			runs := make([]*storage.File, 0, len(jobs))
 			for _, j := range jobs {
 				<-j.done
 				if j.err != nil {
@@ -438,7 +430,7 @@ func (m *MRS) segmentRuns(sp *spillState) ([]spillRun, error) {
 			}
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			res.out, res.tally, res.err = mergeGroup(sp.arena, m.cfg.TempPrefix, runs, sp.ky, m.lay, m.cfg.Abort)
+			res.out, res.comparisons, res.err = mergeGroup(sp.arena, m.cfg.TempPrefix, runs, sp.ky, m.cfg.Abort)
 		}(sp.jobs[lo:hi], res)
 	}
 
@@ -446,10 +438,10 @@ func (m *MRS) segmentRuns(sp *spillState) ([]spillRun, error) {
 	// group order; wait everything out even on error so the arena can be
 	// released without racing in-flight writers.
 	err := m.harvestJobs(sp)
-	runs := make([]spillRun, 0, nGroups)
+	runs := make([]*storage.File, 0, nGroups)
 	for _, res := range groups {
 		<-res.done
-		res.tally.addTo(&m.stats)
+		m.stats.Comparisons += res.comparisons
 		if res.err != nil && err == nil {
 			err = res.err
 		}
@@ -483,7 +475,6 @@ func (m *MRS) harvestJobs(sp *spillState) error {
 	for i := range sp.jobs {
 		j := m.reapJob(sp, i)
 		j.tally.addTo(&m.stats)
-		m.stats.FlatRunPages += j.pages
 		if j.err != nil && firstErr == nil {
 			firstErr = j.err
 		}
@@ -635,14 +626,13 @@ func (m *MRS) flush(c *segCollector) error {
 		c.sp = &spillState{arena: m.cfg.Disk.NewArenaTapped(m.cfg.Tap), ky: c.ky}
 	}
 	if m.spar <= 1 {
-		order, tally := formOrder(c.buf, c.ky, m.rf)
+		order, tally := formOrder(c.buf, c.ky)
 		tally.addTo(&m.stats)
-		run, pages, err := writeRun(c.sp.arena, m.cfg.TempPrefix, c.buf, order, m.lay, c.ky.skip)
+		run, err := writeRun(c.sp.arena, m.cfg.TempPrefix, c.buf, order)
 		if err != nil {
 			return err
 		}
 		c.sp.runs = append(c.sp.runs, run)
-		m.stats.FlatRunPages += pages
 		m.stats.RunsGenerated++
 		m.stats.SpillRunsSerial++
 		c.buf = c.buf[:0]
@@ -662,13 +652,13 @@ func (m *MRS) flush(c *segCollector) error {
 	c.sp.jobs = append(c.sp.jobs, job)
 	m.stats.RunsGenerated++
 	m.stats.SpillRunsParallel++
-	arena, prefix, ky, rf, lay := c.sp.arena, m.cfg.TempPrefix, c.ky, m.rf, m.lay
+	arena, prefix, ky := c.sp.arena, m.cfg.TempPrefix, c.ky
 	go func() {
 		defer close(job.done)
 		defer recoverWorker(&job.err)
 		var order []int32
-		order, job.tally = formOrder(job.buf, ky, rf)
-		job.run, job.pages, job.err = writeRun(arena, prefix, job.buf, order, lay, ky.skip)
+		order, job.tally = formOrder(job.buf, ky)
+		job.run, job.err = writeRun(arena, prefix, job.buf, order)
 		job.buf = nil // batch is on disk; release it before the consumer reaps
 	}()
 	// The batch's bytes stay in liveBytes until the job completes and is
@@ -697,11 +687,11 @@ func (m *MRS) finish(c *segCollector) (*segment, error) {
 		go func() {
 			defer close(seg.done)
 			defer recoverWorker(&seg.err)
-			seg.order, seg.tally = formOrder(seg.buf, seg.ky, m.rf)
+			seg.order, seg.tally = formOrder(seg.buf, seg.ky)
 		}()
 	} else {
 		var tally sortTally
-		seg.order, tally = formOrder(seg.buf, seg.ky, m.rf)
+		seg.order, tally = formOrder(seg.buf, seg.ky)
 		tally.addTo(&m.stats)
 	}
 	return seg, nil

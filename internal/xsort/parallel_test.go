@@ -3,6 +3,7 @@ package xsort
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"pyro/internal/iter"
@@ -159,56 +160,48 @@ func TestMRSParallelCleanup(t *testing.T) {
 	}
 }
 
-// TestEncodedAndComparatorKeysAgree: the normalized-key path must be
-// invisible except for speed — identical output sequence and identical
-// SortStats for both SRS and MRS on the same input.
+// TestEncodedAndComparatorKeysAgree: sorting by normalized keys must
+// reproduce the field comparator's order exactly — for SRS and MRS, in
+// memory and spilled. The reference is a stable sort of the input under
+// types.KeySpec.Compare; genRows' tuples are fully determined by their
+// (c1, c2) key, so even SRS's unstable tie order cannot make the sequences
+// differ.
 func TestEncodedAndComparatorKeysAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	rows := genRows(5000, 25, rng)
 	shuffledRows := shuffled(rows, rand.New(rand.NewSource(25)))
+	target := sortord.New("c1", "c2")
+	ks := types.MustKeySpec(sortSchema, target)
+	want := append([]types.Tuple(nil), rows...)
+	sort.SliceStable(want, func(i, j int) bool { return ks.Compare(want[i], want[j]) < 0 })
 
+	agree := func(t *testing.T, got []types.Tuple) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%d tuples out, want %d", len(got), len(want))
+		}
+		for i := range got {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("sequence diverges from the comparator order at %d: %v vs %v", i, got[i], want[i])
+			}
+		}
+	}
+	// M = 8 spills both sorts; M = 10000 keeps them in memory.
 	t.Run("srs", func(t *testing.T) {
-		run := func(mode KeyMode) ([]types.Tuple, *SortStats) {
-			cfg, _ := smallCfg(t, 8)
-			cfg.Keys = mode
-			// Pin the comparison sort: this test's contract is that the key
-			// REPRESENTATION is invisible, so both arms must spend their
-			// work in the same currency. (Adaptive would radix-sort the
-			// encoded arm only and the stats would rightly diverge.) The
-			// tuple layout is pinned for the same reason: comparator-mode
-			// keyers have no fixed-width encoding, so the flat layouts
-			// would silently fall back on one arm only.
-			cfg.RunFormation = RunFormCompare
-			cfg.EntryLayout = LayoutTuple
-			s, err := NewSRS(iter.FromSlice(shuffledRows), sortSchema, sortord.New("c1", "c2"), cfg)
+		for _, blocks := range []int{8, 10000} {
+			cfg, _ := smallCfg(t, blocks)
+			out, _, err := NewSorted(iter.FromSlice(shuffledRows), sortSchema, target, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			out, err := iter.Drain(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return out, s.Stats()
-		}
-		encOut, encStats := run(KeyEncoded)
-		cmpOut, cmpStats := run(KeyComparator)
-		if !reflect.DeepEqual(multiset(encOut), multiset(cmpOut)) {
-			t.Fatal("encoded and comparator SRS disagree on output multiset")
-		}
-		isSorted(t, encOut, sortord.New("c1", "c2"))
-		if *encStats != *cmpStats {
-			t.Fatalf("SRS stats diverge between key modes:\n encoded    %+v\n comparator %+v", encStats, cmpStats)
+			agree(t, out)
 		}
 	})
-
 	t.Run("mrs", func(t *testing.T) {
-		run := func(mode KeyMode) ([]types.Tuple, *SortStats) {
-			cfg, _ := smallCfg(t, 16)
-			cfg.Keys = mode
+		for _, blocks := range []int{8, 10000} {
+			cfg, _ := smallCfg(t, blocks)
 			cfg.Parallelism = 1
-			cfg.RunFormation = RunFormCompare // see the srs arm
-			cfg.EntryLayout = LayoutTuple     // ditto
-			m, err := NewMRS(iter.FromSlice(rows), sortSchema, sortord.New("c1", "c2"), sortord.New("c1"), cfg)
+			m, err := NewMRS(iter.FromSlice(rows), sortSchema, target, sortord.New("c1"), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -216,31 +209,16 @@ func TestEncodedAndComparatorKeysAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return out, m.Stats()
-		}
-		encOut, encStats := run(KeyEncoded)
-		cmpOut, cmpStats := run(KeyComparator)
-		if len(encOut) != len(cmpOut) {
-			t.Fatalf("output sizes diverge: %d vs %d", len(encOut), len(cmpOut))
-		}
-		// MRS segment sorts are stable in both modes, so the sequences must
-		// match tuple for tuple, not just as multisets.
-		for i := range encOut {
-			if !reflect.DeepEqual(encOut[i], cmpOut[i]) {
-				t.Fatalf("sequences diverge at %d: %v vs %v", i, encOut[i], cmpOut[i])
-			}
-		}
-		if *encStats != *cmpStats {
-			t.Fatalf("MRS stats diverge between key modes:\n encoded    %+v\n comparator %+v", encStats, cmpStats)
+			agree(t, out)
 		}
 	})
 }
 
-// TestUnencodableKeyFallsBackToComparator: a key column the codec cannot
-// encode (a NULL-typed column, e.g. a projected NULL literal) must not fail
-// the sort — both operators silently degrade to the field comparator, in
-// either key mode.
-func TestUnencodableKeyFallsBackToComparator(t *testing.T) {
+// TestNullTypedKeyColumnEncodes: a NULL-typed key column (e.g. a projected
+// NULL literal) holds only NULLs, which encode as a constant marker byte,
+// so it sorts like any other key column — as a trailing SRS key column and
+// as MRS's known `given` prefix alike.
+func TestNullTypedKeyColumnEncodes(t *testing.T) {
 	schema := types.NewSchema(
 		types.Column{Name: "k", Kind: types.KindInt},
 		types.Column{Name: "n", Kind: types.KindNull},
@@ -250,27 +228,29 @@ func TestUnencodableKeyFallsBackToComparator(t *testing.T) {
 		types.NewTuple(types.NewInt(1), types.Null),
 		types.NewTuple(types.NewInt(2), types.Null),
 	}
-	for _, mode := range []KeyMode{KeyEncoded, KeyComparator} {
-		cfg, _ := smallCfg(t, 16)
-		cfg.Keys = mode
-		s, err := NewSRS(iter.FromSlice(rows), schema, sortord.New("k", "n"), cfg)
-		if err != nil {
-			t.Fatalf("mode %d: NewSRS: %v", mode, err)
-		}
-		out, err := iter.Drain(s)
-		if err != nil || len(out) != 3 || out[0][0].Int() != 1 {
-			t.Fatalf("mode %d: SRS out=%v err=%v", mode, out, err)
-		}
-		cfg2, _ := smallCfg(t, 16)
-		cfg2.Keys = mode
-		m, err := NewMRS(iter.FromSlice(rows), schema, sortord.New("n", "k"), sortord.New("n"), cfg2)
-		if err != nil {
-			t.Fatalf("mode %d: NewMRS: %v", mode, err)
-		}
-		out, err = iter.Drain(m)
-		if err != nil || len(out) != 3 || out[0][0].Int() != 1 {
-			t.Fatalf("mode %d: MRS out=%v err=%v", mode, out, err)
-		}
+	sortedK := func(out []types.Tuple) bool {
+		return len(out) == 3 && out[0][0].Int() == 1 && out[1][0].Int() == 2 && out[2][0].Int() == 3
+	}
+	cfg, _ := smallCfg(t, 16)
+	s, err := NewSRS(iter.FromSlice(rows), schema, sortord.New("k", "n"), cfg)
+	if err != nil {
+		t.Fatalf("NewSRS: %v", err)
+	}
+	out, err := iter.Drain(s)
+	if err != nil || !sortedK(out) {
+		t.Fatalf("SRS out=%v err=%v", out, err)
+	}
+	cfg2, _ := smallCfg(t, 16)
+	m, err := NewMRS(iter.FromSlice(rows), schema, sortord.New("n", "k"), sortord.New("n"), cfg2)
+	if err != nil {
+		t.Fatalf("NewMRS: %v", err)
+	}
+	out, err = iter.Drain(m)
+	if err != nil || !sortedK(out) {
+		t.Fatalf("MRS out=%v err=%v", out, err)
+	}
+	if st := m.Stats(); st.Segments != 1 {
+		t.Fatalf("all-NULL prefix should form one segment, got %d", st.Segments)
 	}
 }
 

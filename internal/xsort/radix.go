@@ -16,8 +16,8 @@ import "bytes"
 //     entries by one key byte and redistributes them through a scratch
 //     permutation, preserving arrival order within a bucket. Stability is
 //     load-bearing, not cosmetic: it makes radix order bit-identical to the
-//     sort.SliceStable order of the comparison path, which is what lets the
-//     golden tests pin both modes to the same output bytes.
+//     sort.SliceStable order of the comparison path, so whichever of the
+//     two a buffer gets, the sort's output bytes are the same.
 //
 //   - insertion-sort cutoff: buckets at or below radixInsertionCutoff
 //     entries are finished with a stable insertion sort on key suffixes.
@@ -35,8 +35,8 @@ import "bytes"
 // Work is accounted in SortStats alongside Comparisons: RadixPasses counts
 // counting-distribution passes, RadixBucketScans the tuples classified by
 // them, and the insertion-sort tail still increments Comparisons — so the
-// paper's work accounting stays auditable in radix mode, it just has two
-// currencies.
+// paper's work accounting stays auditable under radix formation, it just
+// has two currencies.
 
 const (
 	// radixInsertionCutoff is the bucket size at or below which the sort
@@ -47,12 +47,12 @@ const (
 	// past 16 — each insertion comparison re-scans the bucket's shared
 	// suffix bytes that one cheap counting pass would have skipped once.
 	radixInsertionCutoff = 16
-	// adaptiveMinTuples is the buffer size below which RunFormAdaptive
+	// adaptiveMinTuples is the buffer size below which run formation
 	// keeps the comparison sort: tiny buffers are dominated by the
 	// per-level bucket bookkeeping, not by comparisons.
 	adaptiveMinTuples = 128
 	// adaptiveMinKeyBytes is the minimum encoded key length (past any
-	// shared-prefix skip) for RunFormAdaptive to pick radix: one- or
+	// shared-prefix skip) for run formation to pick radix: one- or
 	// two-byte keys (a lone bool or NULL marker) partition in so few
 	// passes that bytes.Compare is already effectively radix.
 	adaptiveMinKeyBytes = 4
@@ -75,26 +75,20 @@ func (t sortTally) addTo(st *SortStats) {
 }
 
 // radixEligible decides whether buf is sorted by byte buckets or by
-// comparisons. Comparator-mode keyers carry no encoded keys, so radix is
-// structurally impossible and every mode degrades to the comparison sort.
-func radixEligible(buf []keyed, ky *keyer, rf RunFormation) bool {
-	if !ky.encoded() || rf == RunFormCompare {
-		return false
-	}
-	if rf == RunFormRadix {
-		return true
-	}
+// comparisons: radix for buffers and keys long enough to amortize the
+// bucket bookkeeping, the comparison sort otherwise.
+func radixEligible(buf []keyed, ky *keyer) bool {
 	if len(buf) < adaptiveMinTuples {
 		return false
 	}
 	return len(buf[0].key)-ky.skip >= adaptiveMinKeyBytes
 }
 
-// formOrder produces buf's emission permutation under the configured
-// run-formation mode. Both branches yield the identical stable order; they
-// differ only in how the work is spent (and therefore tallied).
-func formOrder(buf []keyed, ky *keyer, rf RunFormation) ([]int32, sortTally) {
-	if radixEligible(buf, ky, rf) {
+// formOrder produces buf's emission permutation. Both branches yield the
+// identical stable order; they differ only in how the work is spent (and
+// therefore tallied).
+func formOrder(buf []keyed, ky *keyer) ([]int32, sortTally) {
+	if radixEligible(buf, ky) {
 		return radixSortKeyed(buf, ky.skip)
 	}
 	order, comparisons := sortKeyed(buf, ky)
@@ -201,8 +195,8 @@ func commonPrefixLen(buf []keyed, ord []int32, depth int) int {
 }
 
 // insertionByKey stable-sorts a small bucket by key suffixes, counting its
-// comparisons into the tally: the radix mode's residual comparison work is
-// real and stays on the books.
+// comparisons into the tally: radix formation's residual comparison work
+// is real and stays on the books.
 func insertionByKey(buf []keyed, ord []int32, depth int, t *sortTally) {
 	for i := 1; i < len(ord); i++ {
 		for j := i; j > 0; j-- {

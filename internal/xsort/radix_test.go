@@ -69,8 +69,7 @@ func TestRadixSortKeyedMatchesStableSort(t *testing.T) {
 }
 
 func TestRadixEligibility(t *testing.T) {
-	enc := &keyer{codec: testCodec(t)}
-	cmp := &keyer{cmp: func(a, b types.Tuple) int { return 0 }}
+	ky := &keyer{codec: testCodec(t)}
 	big := make([]keyed, adaptiveMinTuples)
 	for i := range big {
 		big[i] = keyed{key: []byte("12345678")}
@@ -85,18 +84,15 @@ func TestRadixEligibility(t *testing.T) {
 		name string
 		buf  []keyed
 		ky   *keyer
-		rf   RunFormation
 		want bool
 	}{
-		{"adaptive big encoded", big, enc, RunFormAdaptive, true},
-		{"adaptive tiny buffer", small, enc, RunFormAdaptive, false},
-		{"adaptive short keys", shortKeys, enc, RunFormAdaptive, false},
-		{"compare mode", big, enc, RunFormCompare, false},
-		{"radix forced tiny", small, enc, RunFormRadix, true},
-		{"comparator keys", big, cmp, RunFormRadix, false},
+		{"big buffer", big, ky, true},
+		{"tiny buffer", small, ky, false},
+		{"short keys", shortKeys, ky, false},
+		{"short past skip", big, ky.withSkip(6), false},
 	}
 	for _, tc := range cases {
-		if got := radixEligible(tc.buf, tc.ky, tc.rf); got != tc.want {
+		if got := radixEligible(tc.buf, tc.ky); got != tc.want {
 			t.Errorf("%s: radixEligible = %v, want %v", tc.name, got, tc.want)
 		}
 	}
@@ -110,29 +106,6 @@ func testCodec(t *testing.T) *keys.Codec {
 		t.Fatal(err)
 	}
 	return c
-}
-
-func TestParseRunFormation(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want RunFormation
-	}{{"", RunFormAdaptive}, {"adaptive", RunFormAdaptive}, {"compare", RunFormCompare}, {"radix", RunFormRadix}} {
-		got, err := ParseRunFormation(tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("ParseRunFormation(%q) = %v, %v", tc.in, got, err)
-		}
-		if tc.in != "" && got.String() != tc.in {
-			t.Errorf("String() round-trip: %q -> %q", tc.in, got.String())
-		}
-	}
-	if _, err := ParseRunFormation("bogus"); err == nil {
-		t.Error("bogus mode should error")
-	}
-	cfg, _ := smallCfg(t, 4)
-	cfg.RunFormation = RunFormation(9)
-	if _, err := NewSRS(iter.FromSlice(nil), sortSchema, sortord.New("c1"), cfg); err == nil {
-		t.Error("out-of-range RunFormation should fail validation")
-	}
 }
 
 // fullKeySchemaRows returns rows where EVERY column is a key column of the
@@ -155,31 +128,38 @@ func fullKeyRows(r *rand.Rand, n, dist1 int) []types.Tuple {
 	return rows
 }
 
-// TestRunFormationModesAgree is the property test of the PR: for random
-// segment shapes, memory budgets and parallelism levels, radix and adaptive
-// run formation must reproduce the compare path's output sequence, run
-// structure and I/O totals exactly — for MRS and SRS alike. Only the work
-// accounting (Comparisons vs RadixPasses) may differ.
+// TestRunFormationModesAgree is the property test of run formation's two
+// modes: within one sort, buffers of at least adaptiveMinTuples tuples are
+// radix-partitioned and smaller ones comparison-sorted, and the choice must
+// never show in the output. For random segment shapes, memory budgets and
+// parallelism levels — which move buffers back and forth across the
+// threshold — MRS and SRS output must equal a stable reference sort, and
+// run structure and I/O must match the serial run exactly.
 func TestRunFormationModesAgree(t *testing.T) {
 	r := rand.New(rand.NewSource(52))
 	target := sortord.New("c1", "c2", "c3")
+	ks := types.MustKeySpec(sortSchema, target)
+	var sawRadix, sawCompareOnly bool
 	for trial := 0; trial < 60; trial++ {
 		n := 20 + r.Intn(3000)
 		dist1 := 1 + r.Intn(12)
-		blocks := 2 + r.Intn(12)
+		// Up to ~50 blocks of 512 bytes: batches from a handful of tuples
+		// to well past adaptiveMinTuples.
+		blocks := 2 + r.Intn(48)
 		par := 1 + r.Intn(4)
 		rows := fullKeyRows(r, n, dist1)
 		shuffledRows := shuffled(rows, rand.New(rand.NewSource(int64(trial))))
+		want := append([]types.Tuple(nil), rows...)
+		sort.SliceStable(want, func(i, j int) bool { return ks.Compare(want[i], want[j]) < 0 })
 
 		type result struct {
 			out   []types.Tuple
 			stats SortStats
 			io    storage.IOStats
 		}
-		runMRS := func(rf RunFormation) result {
+		runMRS := func(par int) result {
 			cfg, d := smallCfg(t, blocks)
 			cfg.Parallelism = par
-			cfg.RunFormation = rf
 			m, err := NewMRS(iter.FromSlice(rows), sortSchema, target, sortord.New("c1"), cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -190,9 +170,9 @@ func TestRunFormationModesAgree(t *testing.T) {
 			}
 			return result{out, *m.Stats(), d.Stats()}
 		}
-		runSRS := func(rf RunFormation) result {
+		runSRS := func(par int) result {
 			cfg, d := smallCfg(t, blocks)
-			cfg.RunFormation = rf
+			cfg.SpillParallelism = par
 			s, err := NewSRS(iter.FromSlice(shuffledRows), sortSchema, target, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -206,56 +186,41 @@ func TestRunFormationModesAgree(t *testing.T) {
 
 		for _, op := range []struct {
 			name string
-			run  func(RunFormation) result
+			run  func(int) result
 		}{{"mrs", runMRS}, {"srs", runSRS}} {
-			base := op.run(RunFormCompare)
-			if base.stats.RadixPasses != 0 || base.stats.RadixBucketScans != 0 {
-				t.Fatalf("trial %d %s: compare mode counted radix work: %+v", trial, op.name, base.stats)
+			base := op.run(1)
+			if base.stats.RadixPasses > 0 {
+				sawRadix = true
+			} else if base.stats.RunsGenerated > 0 {
+				sawCompareOnly = true
 			}
-			for _, rf := range []RunFormation{RunFormRadix, RunFormAdaptive} {
-				got := op.run(rf)
-				if len(got.out) != len(base.out) {
-					t.Fatalf("trial %d %s %v: %d tuples vs %d", trial, op.name, rf, len(got.out), len(base.out))
+			got := op.run(par)
+			for _, res := range []result{base, got} {
+				if len(res.out) != len(want) {
+					t.Fatalf("trial %d %s: %d tuples vs %d", trial, op.name, len(res.out), len(want))
 				}
-				for i := range got.out {
-					if !reflect.DeepEqual(got.out[i], base.out[i]) {
-						t.Fatalf("trial %d %s %v: output diverges at %d: %v vs %v",
-							trial, op.name, rf, i, got.out[i], base.out[i])
+				for i := range res.out {
+					if !reflect.DeepEqual(res.out[i], want[i]) {
+						t.Fatalf("trial %d %s: output diverges from the reference at %d: %v vs %v",
+							trial, op.name, i, res.out[i], want[i])
 					}
 				}
-				if got.stats.RunsGenerated != base.stats.RunsGenerated ||
-					got.stats.MergePasses != base.stats.MergePasses ||
-					got.stats.Segments != base.stats.Segments ||
-					got.stats.SpilledSegs != base.stats.SpilledSegs {
-					t.Fatalf("trial %d %s %v: run structure diverges:\n compare %+v\n %v %+v",
-						trial, op.name, rf, base.stats, rf, got.stats)
-				}
-				if got.io != base.io {
-					t.Fatalf("trial %d %s %v: IO diverges: %+v vs %+v", trial, op.name, rf, got.io, base.io)
-				}
+			}
+			if got.stats.RunsGenerated != base.stats.RunsGenerated ||
+				got.stats.MergePasses != base.stats.MergePasses ||
+				got.stats.Segments != base.stats.Segments ||
+				got.stats.SpilledSegs != base.stats.SpilledSegs ||
+				got.stats.Comparisons != base.stats.Comparisons ||
+				got.stats.RadixPasses != base.stats.RadixPasses {
+				t.Fatalf("trial %d %s par=%d: work diverges from serial:\n serial %+v\n par    %+v",
+					trial, op.name, par, base.stats, got.stats)
+			}
+			if got.io != base.io {
+				t.Fatalf("trial %d %s par=%d: IO diverges: %+v vs %+v", trial, op.name, par, got.io, base.io)
 			}
 		}
 	}
-}
-
-// TestRadixFallsBackOnComparatorKeys: forcing radix with comparator-mode
-// keys must degrade to the comparison sort, not fail or miscount.
-func TestRadixFallsBackOnComparatorKeys(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	rows := genRows(2000, 10, rng)
-	cfg, _ := smallCfg(t, 8)
-	cfg.Keys = KeyComparator
-	cfg.RunFormation = RunFormRadix
-	m, err := NewMRS(iter.FromSlice(rows), sortSchema, sortord.New("c1", "c2"), sortord.New("c1"), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := iter.Drain(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	isSorted(t, out, sortord.New("c1", "c2"))
-	if st := m.Stats(); st.RadixPasses != 0 || st.RadixBucketScans != 0 {
-		t.Fatalf("comparator keys cannot radix-partition, yet stats say %+v", st)
+	if !sawRadix || !sawCompareOnly {
+		t.Fatalf("trials did not cover both modes: radix %v, compare-only spill %v", sawRadix, sawCompareOnly)
 	}
 }

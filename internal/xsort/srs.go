@@ -16,29 +16,26 @@ import (
 // fan-in runs, and Next serves tuples from the final merge. When the whole
 // input fits in memory no run is written and the sort is CPU-only.
 //
-// Each input tuple's sort key is normalized once on entry (Config.Keys);
-// every heap and merge comparison is then a single byte-string compare.
+// Each input tuple's sort key is normalized once on entry; every heap and
+// merge comparison is then a single byte-string compare.
 // Run formation is inherently sequential (one replacement-selection heap),
 // but the run-reduction passes merge independent groups concurrently when
 // SpillParallelism > 1. All spill files live in one SpillArena, whose
 // release on Close (or error) both cleans them up and folds their I/O into
 // the disk's global ledger.
 //
-// Config.RunFormation applies to the phase-1 fill: in radix (or adaptive)
-// mode the initial memory load is byte-bucket sorted and seeds the heap as
-// a sorted array — valid heap order, zero build comparisons — or, when the
-// whole input fits, is emitted directly. Replacement selection itself stays
-// comparison-based in every mode: its incremental push/pop structure is
-// what produces the paper's 2M-sized runs, and a heap has no radix
-// equivalent. Run count, run sizes and I/O totals are therefore identical
-// across modes (the pop sequence visits the same key multiset in the same
-// ascending order).
+// Radix run formation applies to the phase-1 fill: when the initial memory
+// load is large enough (see radixEligible) it is byte-bucket sorted and
+// seeds the heap as a sorted array — valid heap order, zero build
+// comparisons — or, when the whole input fits, is emitted directly.
+// Replacement selection itself stays comparison-based: its incremental
+// push/pop structure is what produces the paper's 2M-sized runs, and a
+// heap has no radix equivalent.
 type SRS struct {
 	input  iter.Iterator
 	schema *types.Schema
 	order  sortord.Order
 	cfg    Config
-	ks     types.KeySpec
 	ky     *keyer
 	stats  SortStats
 
@@ -47,9 +44,8 @@ type SRS struct {
 	memPos int
 	inMem  bool
 
-	merger merger
-	runs   []spillRun
-	lay    entryLayout
+	merger *runMerger
+	runs   []*storage.File
 	arena  *storage.SpillArena // lazily created spill namespace; owns all temps
 	src    *tupleSource        // keyed input collection (batched when configured)
 	opened bool
@@ -69,22 +65,19 @@ func NewSRS(input iter.Iterator, schema *types.Schema, o sortord.Order, cfg Conf
 	if err != nil {
 		return nil, err
 	}
-	// A nil codec (key shape the encoder does not support, e.g. a NULL
-	// literal column) falls back to the field comparator inside newKeyer;
-	// the sort itself must never fail over the key representation.
-	codec, _ := keys.FromKeySpec(ks)
+	codec, err := keys.FromKeySpec(ks)
+	if err != nil {
+		return nil, err
+	}
 	if cfg.TempPrefix == "" {
 		cfg.TempPrefix = "srs"
 	}
-	ky := newKeyer(cfg.Keys, codec, ks.Compare)
 	return &SRS{
 		input:  input,
 		schema: schema,
 		order:  o.Clone(),
 		cfg:    cfg,
-		ks:     ks,
-		ky:     ky,
-		lay:    resolveLayout(cfg, ky, 0),
+		ky:     &keyer{codec: codec},
 	}, nil
 }
 
@@ -150,7 +143,7 @@ func (s *SRS) open() error {
 	}
 	s.trackPeak(fillBytes)
 
-	if radixEligible(fill, s.ky, s.cfg.RunFormation) {
+	if radixEligible(fill, s.ky) {
 		order, tally := radixSortKeyed(fill, s.ky.skip)
 		tally.addTo(&s.stats)
 		if inputDone {
@@ -185,19 +178,16 @@ func (s *SRS) open() error {
 	// Phase 2: replacement selection. Pop the minimum of the current run,
 	// write it out, replace it with the next input tuple — tagged for the
 	// current run if it can still be emitted in order, else for the next.
-	// Runs stream through a runWriter: payload tuples plus, in the flat
-	// layouts, fixed-width entries derived from the already encoded keys.
 	currentRun := 0
-	w := s.newRunWriter()
+	runFile := s.newTemp()
+	w := storage.NewTupleWriter(runFile)
 	var lastOut keyed
 
 	finishRun := func() error {
-		run, pages, err := w.close()
-		if err != nil {
+		if err := w.Close(); err != nil {
 			return err
 		}
-		s.runs = append(s.runs, run)
-		s.stats.FlatRunPages += pages
+		s.runs = append(s.runs, runFile)
 		s.stats.RunsGenerated++
 		return nil
 	}
@@ -216,11 +206,12 @@ func (s *SRS) open() error {
 				return err
 			}
 			currentRun++
-			w = s.newRunWriter()
+			runFile = s.newTemp()
+			w = storage.NewTupleWriter(runFile)
 			lastOut = keyed{}
 		}
 		e = h.pop()
-		if err := w.write(e.kt); err != nil {
+		if err := w.Write(e.kt.t); err != nil {
 			return err
 		}
 		lastOut = e.kt
@@ -249,22 +240,22 @@ func (s *SRS) open() error {
 
 	// Phase 3: reduce runs to fan-in and set up the final merge. Groups
 	// within a pass merge concurrently under SpillParallelism.
-	runs, err := reduceRuns(s.cfg, s.arena, s.runs, s.ky, s.lay, &s.stats)
+	runs, err := reduceRuns(s.cfg, s.arena, s.runs, s.ky, &s.stats)
 	if err != nil {
 		return err
 	}
 	s.runs = runs
-	s.merger, err = openMerger(runs, s.ky, s.lay, &s.stats)
+	s.merger, err = newRunMerger(runs, s.ky, &s.stats.Comparisons)
 	return err
 }
 
-// newRunWriter opens a streaming run writer in the sort's spill arena
-// (created on first spill; an in-memory sort never allocates one).
-func (s *SRS) newRunWriter() *runWriter {
+// newTemp creates a run file in the sort's spill arena (created on first
+// spill; an in-memory sort never allocates one).
+func (s *SRS) newTemp() *storage.File {
 	if s.arena == nil {
 		s.arena = s.cfg.Disk.NewArenaTapped(s.cfg.Tap)
 	}
-	return newRunWriter(s.arena, s.cfg.TempPrefix, s.lay, s.ky.skip)
+	return s.arena.CreateTemp(s.cfg.TempPrefix, storage.KindRun)
 }
 
 // removeTemps releases the spill arena, dropping every run file this sort

@@ -14,26 +14,22 @@
 //     been read, giving pipelined execution, early output, and fewer
 //     comparisons (suffix-only within a segment).
 //
-// Key comparisons default to normalized keys: each tuple's sort key is
-// encoded once (package keys) into an order-preserving byte string, so a
+// Key comparisons use normalized keys: each tuple's sort key is encoded
+// once (package keys) into an order-preserving byte string, so a
 // comparison is a single bytes.Compare instead of a typed field walk.
-// Config.Keys selects the legacy comparator path for ablation. Both paths
-// count comparisons at identical call sites, so SortStats totals are the
-// same in either mode and the golden/ablation expectations stay meaningful.
 //
 // Run formation — producing the sorted order of an in-memory buffer, be it
 // an MRS segment, a spill batch, or SRS's initial heap fill — additionally
-// exploits that byte order IS key order: Config.RunFormation selects MSD
-// radix partitioning over the encoded keys (see radix.go) instead of the
-// comparison sort. The radix order is bit-identical to the stable
-// comparison order, so MRS output bytes, run/pass structure, and I/O
-// totals are the same in every mode; SRS agrees on all of those too except
-// that tuples tied on the full sort key may emit in a different relative
-// order (its compare-mode path drains an unstable replacement-selection
-// heap, while radix is stable — the key sequence itself is identical).
-// Only the work accounting otherwise changes (RadixPasses and
-// RadixBucketScans alongside a smaller Comparisons). The default, adaptive,
-// falls back to comparisons for tiny buffers and short keys.
+// exploits that byte order IS key order: buffers large enough to amortize
+// bucket bookkeeping are sorted by MSD radix partitioning over the encoded
+// keys (see radix.go), and smaller buffers or very short keys by a stable
+// comparison sort. Both produce the identical stable order; they differ
+// only in work accounting (RadixPasses and RadixBucketScans alongside a
+// smaller Comparisons).
+//
+// Spill runs are plain tuple-page files. A merge re-encodes each tuple's
+// key as it reads it back: one encode per tuple per pass buys log(fan-in)
+// byte comparisons in the merge heap.
 //
 // MRS additionally sorts independent in-memory segments on a bounded worker
 // pool (Config.Parallelism); see mrs.go for the pipelining contract. The
@@ -50,7 +46,7 @@
 // Comparison and I/O totals are identical at every parallelism level: the
 // same batches form the same runs, the same groups merge in the same pass
 // structure, and per-job counts fold into SortStats in deterministic order
-// on the consumer goroutine.
+// on the consumer goroutine. PeakMemBytes is the exception (see SortStats).
 package xsort
 
 import (
@@ -64,32 +60,35 @@ import (
 )
 
 // SortStats records the work done by one sort operator instance.
+//
+// Every counter except PeakMemBytes is deterministic: identical at every
+// Parallelism, SpillParallelism and BatchSize for the same input and
+// memory budget. PeakMemBytes varies from run to run under parallel MRS
+// segment sorts, because how many segments read-ahead holds at once
+// depends on goroutine scheduling.
 type SortStats struct {
 	Comparisons   int64 // key comparisons performed
 	RunsGenerated int   // runs written to disk
 	MergePasses   int   // intermediate merge passes (excluding the final pipelined merge)
 	Segments      int   // MRS: partial-sort segments processed
 	SpilledSegs   int   // MRS: segments that did not fit in memory
-	PeakMemBytes  int64 // high-water mark of buffered tuple bytes
+	PeakMemBytes  int64 // high-water mark of buffered tuple bytes (not deterministic, see above)
 	TuplesIn      int64
 	TuplesOut     int64
 
 	// RadixPasses and RadixBucketScans account radix run formation in the
 	// same spirit Comparisons accounts the comparison sorts: one pass is
 	// one counting distribution over a bucket's entries on one key byte,
-	// and the scan counter totals the tuples those passes classified. In
-	// radix mode total sort work reads as Comparisons (heap, merge, and
-	// insertion-sort tails) plus these; in compare mode both stay zero.
+	// and the scan counter totals the tuples those passes classified.
+	// Total sort work reads as Comparisons (heap, merge, small-buffer and
+	// insertion-sort tails) plus these.
 	RadixPasses      int64
 	RadixBucketScans int64
 
-	// MergeBucketSkips counts, in the flat layouts' radix-aware merges,
-	// advanced run heads parked comparison-free because they left the merge
-	// frontier's leading-byte bucket — each one a run temporarily excluded
-	// from heap ordering entirely. FlatRunPages counts entry pages written
-	// for flat spill runs (formation and merge outputs; payload tuple pages
-	// stay under the I/O ledger as before). Both are deterministic at every
-	// parallelism and batch size, like every other counter here.
+	// MergeBucketSkips and FlatRunPages are always 0. They counted the
+	// work of the fixed-width spill-entry layouts, which were removed;
+	// the fields stay only because the repo benchmark (perfbench) still
+	// reads them, and go away with the next change to that benchmark.
 	MergeBucketSkips int64
 	FlatRunPages     int64
 
@@ -103,64 +102,6 @@ type SortStats struct {
 	// guessing from wall-clock shape.
 	SpillRunsSerial   int
 	SpillRunsParallel int
-}
-
-// KeyMode selects how sort keys are compared.
-type KeyMode uint8
-
-const (
-	// KeyEncoded (the default) compares normalized byte-string keys with
-	// bytes.Compare; each tuple is encoded once on entry.
-	KeyEncoded KeyMode = iota
-	// KeyComparator compares tuples field by field through the resolved
-	// KeySpec — the pre-normalized-key path, kept for ablation.
-	KeyComparator
-)
-
-// RunFormation selects how the sorted order of an in-memory buffer is
-// produced (MRS segment sorts, spill-batch sorts, SRS's phase-1 fill).
-// Every mode yields the identical stable buffer order; see radix.go and
-// the package comment for the one visible difference (SRS key ties).
-type RunFormation uint8
-
-const (
-	// RunFormAdaptive (the default) picks MSD radix partitioning for
-	// encoded keys on buffers large enough to amortize bucket bookkeeping,
-	// and the comparison sort otherwise.
-	RunFormAdaptive RunFormation = iota
-	// RunFormCompare always sorts by key comparisons — the pre-radix path,
-	// kept for ablation and as the comparator-mode fallback.
-	RunFormCompare
-	// RunFormRadix always radix-partitions encoded keys (comparator-mode
-	// keyers still fall back to comparisons: there is no byte string to
-	// partition).
-	RunFormRadix
-)
-
-// String returns the CLI spelling of the mode.
-func (rf RunFormation) String() string {
-	switch rf {
-	case RunFormAdaptive:
-		return "adaptive"
-	case RunFormCompare:
-		return "compare"
-	case RunFormRadix:
-		return "radix"
-	}
-	return fmt.Sprintf("RunFormation(%d)", uint8(rf))
-}
-
-// ParseRunFormation parses the CLI spelling ("" means the default).
-func ParseRunFormation(s string) (RunFormation, error) {
-	switch s {
-	case "", "adaptive":
-		return RunFormAdaptive, nil
-	case "compare":
-		return RunFormCompare, nil
-	case "radix":
-		return RunFormRadix, nil
-	}
-	return 0, fmt.Errorf("xsort: unknown run formation %q (want adaptive, compare or radix)", s)
 }
 
 // Budget is a live sort-memory allowance in disk blocks. A sort consults
@@ -190,20 +131,6 @@ type Config struct {
 	Budget Budget
 	// TempPrefix names the run files for debuggability.
 	TempPrefix string
-	// Keys selects normalized-key (default) or comparator key comparison.
-	Keys KeyMode
-	// RunFormation selects radix, comparison, or adaptive (default)
-	// production of in-memory sorted orders. Run/pass structure, I/O and
-	// output key order are identical in every mode; output bytes are
-	// bit-identical for MRS, and for SRS up to the emission order of
-	// tuples with duplicate full sort keys (see the package comment).
-	RunFormation RunFormation
-	// EntryLayout selects the spill-run representation and merge algorithm:
-	// flat fixed-width entries with the radix-aware bucket merge (default),
-	// flat entries with the plain comparison heap (ablation), or the legacy
-	// re-encoded tuple runs (see entry.go). Comparator-mode sorts always
-	// use the tuple layout — there is no encoded key to lay out flat.
-	EntryLayout EntryLayout
 	// Parallelism bounds how many MRS in-memory segments may be sorted
 	// concurrently. 0 means runtime.GOMAXPROCS(0); 1 means fully serial,
 	// strictly demand-driven reading (the paper's original behaviour).
@@ -297,16 +224,29 @@ func (c Config) validate() error {
 	if c.SpillParallelism < 0 {
 		return fmt.Errorf("xsort: SpillParallelism must be non-negative, got %d", c.SpillParallelism)
 	}
-	if c.RunFormation > RunFormRadix {
-		return fmt.Errorf("xsort: unknown RunFormation %d", c.RunFormation)
-	}
-	if c.EntryLayout > LayoutTuple {
-		return fmt.Errorf("xsort: unknown EntryLayout %d", c.EntryLayout)
-	}
 	if c.BatchSize < 0 {
 		return fmt.Errorf("xsort: BatchSize must be non-negative, got %d", c.BatchSize)
 	}
 	return nil
+}
+
+// writeRun writes the tuples of a keyed buffer, in emission order, to a
+// fresh run file in ns — the sort's spill arena, so concurrent writers from
+// different segments or workers never share a namespace or a ledger mutex.
+func writeRun(ns storage.TempSpace, prefix string, buf []keyed, order []int32) (*storage.File, error) {
+	f := ns.CreateTemp(prefix, storage.KindRun)
+	w := storage.NewTupleWriter(f)
+	for _, idx := range order {
+		if err := w.Write(buf[idx].t); err != nil {
+			ns.Remove(f.Name())
+			return nil, err
+		}
+	}
+	if err := w.Close(); err != nil {
+		ns.Remove(f.Name())
+		return nil, err
+	}
+	return f, nil
 }
 
 // recoverWorker converts a panic on a sort worker goroutine into an error at

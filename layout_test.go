@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// layoutDB builds a workload whose ORDER BY must spill: 12k rows shuffled
+// spillDB builds a workload whose ORDER BY must spill: 12k rows shuffled
 // by a multiplicative hash, 512-byte pages, an 8-block sort budget.
-func layoutDB(t *testing.T) *Database {
+func spillDB(t *testing.T) *Database {
 	t.Helper()
 	db := Open(Config{PageSize: 512, SortMemoryBlocks: 8})
 	rows := make([][]any, 12_000)
@@ -26,16 +26,13 @@ func layoutDB(t *testing.T) *Database {
 	return db
 }
 
-// TestEntryLayoutGoldenMatrix is the end-to-end pin of the fixed-width
-// entry tentpole: across every spill layout, sort parallelism 1/2/4/8 and
-// executor batch sizes 1/64/1024, a spilling ORDER BY returns the same
-// rows in the same order with the same per-query I/O attribution, and the
-// work counters are a function of the layout alone. The flat layouts are
-// I/O-identical twins of each other (same entry pages), differing only in
-// merge comparisons — the radix cascade's saving — and the tuple layout
-// is the legacy format with no entry files at all.
+// TestEntryLayoutGoldenMatrix is the end-to-end pin of the spill path and
+// its one entry layout (tuple spill runs): across sort parallelism 1/2/4/8
+// and executor batch sizes 1/64/1024, a spilling ORDER BY returns the same
+// rows in the same order with the same per-query I/O attribution and the
+// same sort work counters as the serial, row-at-a-time reference.
 func TestEntryLayoutGoldenMatrix(t *testing.T) {
-	db := layoutDB(t)
+	db := spillDB(t)
 	plan, err := db.Optimize(db.Scan("t").OrderBy("b", "a"))
 	if err != nil {
 		t.Fatal(err)
@@ -46,10 +43,9 @@ func TestEntryLayoutGoldenMatrix(t *testing.T) {
 		sorts []SortStats
 		io    IOStats
 	}
-	drain := func(lay EntryLayout, par, batch int) result {
+	drain := func(par, batch int) result {
 		t.Helper()
 		cur, err := db.Query(context.Background(), plan,
-			WithSortEntryLayout(lay),
 			WithSortParallelism(par),
 			WithSortSpillParallelism(par),
 			WithExecBatchSize(batch))
@@ -69,64 +65,29 @@ func TestEntryLayoutGoldenMatrix(t *testing.T) {
 		return r
 	}
 
-	// Reference: tuple layout, serial, row-at-a-time — the legacy engine.
-	ref := drain(EntryLayoutTuple, 1, 1)
+	// Reference: serial, row-at-a-time.
+	ref := drain(1, 1)
 	if len(ref.sorts) != 1 || ref.sorts[0].RunsGenerated == 0 {
 		t.Fatalf("workload must spill for this test to mean anything: %+v", ref.sorts)
 	}
-	if ref.sorts[0].FlatRunPages != 0 || ref.sorts[0].MergeBucketSkips != 0 {
-		t.Fatalf("tuple layout must not touch the flat counters: %+v", ref.sorts[0])
+	if ref.io.RunTotal() == 0 {
+		t.Fatalf("spilling sort attributed no run I/O to the query: %+v", ref.io)
 	}
-
-	base := map[EntryLayout]result{}
-	for _, lay := range []EntryLayout{EntryLayoutFlat, EntryLayoutFlatHeap, EntryLayoutTuple} {
-		for _, par := range []int{1, 2, 4, 8} {
-			for _, batch := range []int{1, 64, 1024} {
-				name := fmt.Sprintf("%v-par%d-batch%d", lay, par, batch)
-				r := drain(lay, par, batch)
-				if !reflect.DeepEqual(r.rows, ref.rows) {
-					t.Fatalf("%s: output diverges from the legacy reference", name)
-				}
-				first, ok := base[lay]
-				if !ok {
-					base[lay] = r
-					continue
-				}
-				// Within a layout every counter and the per-query I/O
-				// attribution are parallelism- and batch-invariant.
-				if !reflect.DeepEqual(r.sorts, first.sorts) {
-					t.Fatalf("%s: sort counters vary within the layout:\n got %+v\nwant %+v",
-						name, r.sorts, first.sorts)
-				}
-				if r.io != first.io {
-					t.Fatalf("%s: IO attribution varies within the layout: got %+v want %+v",
-						name, r.io, first.io)
-				}
+	for _, par := range []int{1, 2, 4, 8} {
+		for _, batch := range []int{1, 64, 1024} {
+			name := fmt.Sprintf("par%d-batch%d", par, batch)
+			r := drain(par, batch)
+			if !reflect.DeepEqual(r.rows, ref.rows) {
+				t.Fatalf("%s: output diverges from the serial reference", name)
+			}
+			// Every counter and the per-query I/O attribution are
+			// parallelism- and batch-invariant.
+			if !reflect.DeepEqual(r.sorts, ref.sorts) {
+				t.Fatalf("%s: sort counters vary:\n got %+v\nwant %+v", name, r.sorts, ref.sorts)
+			}
+			if r.io != ref.io {
+				t.Fatalf("%s: IO attribution varies: got %+v want %+v", name, r.io, ref.io)
 			}
 		}
-	}
-
-	flat, heap, tuple := base[EntryLayoutFlat], base[EntryLayoutFlatHeap], base[EntryLayoutTuple]
-	// The flat layouts write identical entry files and must be I/O twins.
-	if flat.io != heap.io {
-		t.Fatalf("flat and flat-heap IO diverge: %+v vs %+v", flat.io, heap.io)
-	}
-	if flat.sorts[0].FlatRunPages == 0 || flat.sorts[0].FlatRunPages != heap.sorts[0].FlatRunPages {
-		t.Fatalf("flat run pages: flat %d, flat-heap %d — want equal and nonzero",
-			flat.sorts[0].FlatRunPages, heap.sorts[0].FlatRunPages)
-	}
-	// The cascade is the only difference: fewer comparisons, counted parks.
-	if flat.sorts[0].Comparisons >= heap.sorts[0].Comparisons {
-		t.Fatalf("radix cascade saved nothing: flat %d vs flat-heap %d comparisons",
-			flat.sorts[0].Comparisons, heap.sorts[0].Comparisons)
-	}
-	if flat.sorts[0].MergeBucketSkips == 0 || heap.sorts[0].MergeBucketSkips != 0 {
-		t.Fatalf("bucket skips: flat %d (want >0), flat-heap %d (want 0)",
-			flat.sorts[0].MergeBucketSkips, heap.sorts[0].MergeBucketSkips)
-	}
-	// Entry files are the flat layouts' I/O price over the legacy format.
-	if flat.io.RunTotal() <= tuple.io.RunTotal() {
-		t.Fatalf("flat run IO %d should exceed tuple run IO %d by the entry pages",
-			flat.io.RunTotal(), tuple.io.RunTotal())
 	}
 }

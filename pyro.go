@@ -44,7 +44,6 @@ import (
 	"pyro/internal/sortord"
 	"pyro/internal/storage"
 	"pyro/internal/types"
-	"pyro/internal/xsort"
 )
 
 // Type enumerates column types of the public API.
@@ -109,23 +108,6 @@ type Config struct {
 	// deliberately: plan choice must never depend on the machine the
 	// optimizer happens to run on.
 	SortSpillParallelism int
-	// SortRunFormation selects how sort enforcers produce in-memory sorted
-	// orders: RunFormationAdaptive (default) uses MSD radix partitioning
-	// on the normalized keys where it pays, RunFormationRadix forces it,
-	// RunFormationCompare pins the comparison sort. Result key order and
-	// I/O are identical in every mode (rows tied on the entire ORDER BY
-	// key may emit in a different relative order under a full sort — that
-	// order was never guaranteed).
-	SortRunFormation RunFormation
-	// SortEntryLayout selects the spill-run representation of the sort
-	// enforcers: EntryLayoutFlat (default) spills fixed-width key-prefix
-	// entries alongside the payload tuples and merges them with the
-	// radix-aware cascade, EntryLayoutFlatHeap keeps the flat runs but
-	// merges with a plain comparison heap (the ablation arm), and
-	// EntryLayoutTuple is the legacy tuple-only spill format. Result rows
-	// and result order are identical in every mode; spill I/O shape and
-	// merge comparison counts differ.
-	SortEntryLayout EntryLayout
 
 	// GlobalSortMemoryBlocks is the database-wide sort-memory pool, in
 	// blocks, shared by all concurrently executing queries through the
@@ -175,26 +157,6 @@ type Config struct {
 	// disables caching.
 	PlanCacheSize int
 }
-
-// RunFormation selects the sort enforcers' run-formation algorithm.
-type RunFormation = xsort.RunFormation
-
-// Run-formation modes.
-const (
-	RunFormationAdaptive = xsort.RunFormAdaptive
-	RunFormationCompare  = xsort.RunFormCompare
-	RunFormationRadix    = xsort.RunFormRadix
-)
-
-// EntryLayout selects the sort enforcers' spill-run representation.
-type EntryLayout = xsort.EntryLayout
-
-// Sort entry layouts.
-const (
-	EntryLayoutFlat     = xsort.LayoutFlat
-	EntryLayoutFlatHeap = xsort.LayoutFlatHeap
-	EntryLayoutTuple    = xsort.LayoutTuple
-)
 
 // Database is a self-contained engine instance.
 type Database struct {
@@ -302,6 +264,11 @@ func Value(v any) (types.Datum, error) {
 func (db *Database) CreateTable(name string, cols []Column, clusterOn []string, rows [][]any) error {
 	tcols := make([]types.Column, len(cols))
 	for i, c := range cols {
+		// An unknown Type would type the column NULL, which sort keys
+		// encode on the promise that it holds nothing but NULLs.
+		if c.Type.kind() == types.KindNull {
+			return fmt.Errorf("pyro: column %q of table %q has unknown type %d", c.Name, name, c.Type)
+		}
 		tcols[i] = types.Column{Name: c.Name, Kind: c.Type.kind(), Width: c.Width}
 	}
 	schema := types.NewSchema(tcols...)
@@ -455,12 +422,6 @@ func (db *Database) Optimize(q *Query, opts ...OptimizeOption) (*Plan, error) {
 	if spillPar > 1 {
 		options.Model.SpillParallelism = spillPar
 	}
-	// Price the spill format execution will use: the legacy tuple layout
-	// re-encodes keys on every merge read, the flat layouts carry entry
-	// files instead (see cost.Model). Comparator-keyed sorts fall back to
-	// the tuple layout at runtime regardless, but the optimizer cannot see
-	// key shapes here and prices the configured intent.
-	options.Model.TupleSpillLayout = db.cfg.SortEntryLayout == EntryLayoutTuple
 	inner, stats, err := db.optimize(q.node, options)
 	if err != nil {
 		return nil, err

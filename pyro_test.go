@@ -216,6 +216,11 @@ func TestCreateTableValidation(t *testing.T) {
 	if err == nil {
 		t.Fatal("unsupported value should error")
 	}
+	err = db.CreateTable("t", []Column{{Name: "a", Type: Type(200)}}, nil,
+		[][]any{{int64(1)}})
+	if err == nil {
+		t.Fatal("unknown column type should error")
+	}
 	if err := db.CreateIndex("i", "missing", []string{"a"}, nil); err == nil {
 		t.Fatal("index on missing table should error")
 	}
