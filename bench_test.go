@@ -205,13 +205,14 @@ func BenchmarkTimeToFirstRow(b *testing.B) {
 }
 
 // BenchmarkTopKPlanned A/Bs the two ways a consumer gets Top-K early exit:
-// a planned Limit(k) — the optimizer's row budget picks the pipelined plan
-// and the exec.Limit operator closes the sort at k — drained to completion,
-// versus the unlimited plan with a consumer that pulls k rows and closes
-// the cursor by hand (PR 4's only early-exit path). The two arms shed the
-// same work (TestPushedDownLimitMatchesEarlyClose pins that), so their
-// delta in `make bench-ab` is the overhead of each exit path, and a
-// regression in either early-exit mechanism is visible in CI.
+// a planned Limit(k) — the optimizer plans a Top-N enforcer over the
+// clustering prefix, which stops reading at the first segment boundary
+// past k rows — drained to completion, versus the unlimited plan (a
+// pipelined partial sort) with a consumer that pulls k rows and closes
+// the cursor by hand. The two arms read the same pages and tuples
+// (TestPushedDownLimitMatchesEarlyClose pins that), so their delta in
+// `make bench-ab` is the cost of each exit path, and a regression in
+// either early-exit mechanism is visible in CI.
 func BenchmarkTopKPlanned(b *testing.B) {
 	db := segmentedDB(b, 50_000, 500)
 	const k = 10
@@ -401,10 +402,10 @@ func BenchmarkScanFilterThroughput(b *testing.B) {
 }
 
 // BenchmarkScanSortLimitThroughput measures batching under a blocking
-// enforcer: scan→full-sort→limit, where the chunked arm batches the sort's
-// input collection (chunk reads off each page, one batched key encode per
-// chunk) while the tuple-level sort algorithm and its counters stay
-// untouched.
+// enforcer: an unclustered ORDER BY ... LIMIT planned as scan→TopN, where
+// the chunked arm feeds the heap views of each chunk's rows (a rejected
+// row is never copied) while the enforcer's algorithm and its counters
+// stay untouched.
 func BenchmarkScanSortLimitThroughput(b *testing.B) {
 	db := segmentedDB(b, 50_000, 500)
 	plan, err := db.Optimize(db.Scan("big").OrderBy("v", "pad").Limit(1_000))

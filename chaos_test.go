@@ -53,7 +53,8 @@ func chaosDB(t testing.TB) *Database {
 type chaosScenario struct {
 	name  string
 	build func(db *Database) *Query
-	limit int // rows to read before closing (0 = drain everything)
+	limit int    // rows to read before closing (0 = drain everything)
+	shape string // when set, the plan signature the arm must run
 }
 
 func chaosScenarios() []chaosScenario {
@@ -69,6 +70,12 @@ func chaosScenarios() []chaosScenario {
 		{name: "topk-early-close", build: func(db *Database) *Query {
 			return db.Scan("big").OrderBy("g", "v")
 		}, limit: 16},
+		// Top-K on an unclustered order: a bounded Top-N enforcer reads the
+		// whole table and writes no run page, so every fault point is a
+		// table-page read inside its heap loop.
+		{name: "topn-unclustered", build: func(db *Database) *Query {
+			return db.Scan("big").OrderBy("v", "pad").Limit(50)
+		}, shape: "TopN>TableScan"},
 		// Equality join on non-clustered columns (a hash join under the
 		// default heuristic) with a sorted output on top.
 		{name: "hash-join", build: func(db *Database) *Query {
@@ -155,6 +162,9 @@ func TestChaosFaultSweep(t *testing.T) {
 		plan, err := db.Optimize(sc.build(db))
 		if err != nil {
 			t.Fatal(err)
+		}
+		if sc.shape != "" && plan.inner.Signature() != sc.shape {
+			t.Fatalf("%s: planned %s, want %s:\n%s", sc.name, plan.inner.Signature(), sc.shape, plan.Explain())
 		}
 		for _, batch := range []int{1, 64, 1024} {
 			// An early-closed pipelined query abandons in-flight read-ahead

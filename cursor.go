@@ -111,10 +111,11 @@ type ExecStats struct {
 	// Elapsed is the time from the Query call until the cursor finished,
 	// or until now while it is still open.
 	Elapsed time.Duration
-	// Sorts snapshots every sort enforcer's counters in plan (pre-order)
-	// position, matching Plan.Explain's operator order. An early Close
-	// freezes them mid-flight: segments never sorted and spill runs never
-	// read simply don't appear in the totals.
+	// Sorts snapshots every sort enforcer's counters — full, partial and
+	// Top-N — in plan (pre-order) position, matching Plan.Explain's
+	// operator order. An early Close freezes them mid-flight: segments
+	// never sorted and spill runs never read simply don't appear in the
+	// totals.
 	Sorts []SortStats
 	// IO is the disk activity this query itself caused, measured by a
 	// per-query storage tap that every operator of the plan charges
@@ -282,17 +283,20 @@ func (db *Database) Query(ctx context.Context, p *Plan, opts ...ExecOption) (*Cu
 	tap := storage.NewTap()
 
 	// Sort-memory grant: governed queries whose plan buffers sort memory
-	// ask the global pool for their configured budget. A lone query gets
-	// its full ask (single-cursor execution is identical to the ungoverned
-	// engine); under contention the grant is a fair share and may be shrunk
-	// further while the query spills. The grant doubles as the live
-	// xsort.Budget every sort enforcer re-reads, and the tap lets the
-	// governor see this query's spill writes. Explicit WithSortMemoryBlocks
-	// bypasses all of this, as does a plan with no sort or spool operator.
+	// ask the global pool for what the plan needs (core.Plan.SortMemoryAsk):
+	// the configured budget when a sort or spool can use all of it, only K
+	// rows' worth when the plan's sole memory users are Top-N enforcers. A
+	// lone query gets its full ask (single-cursor execution is identical to
+	// the ungoverned engine); under contention the grant is a fair share
+	// and may be shrunk further while the query spills. The grant doubles
+	// as the live xsort.Budget every sort enforcer re-reads, and the tap
+	// lets the governor see this query's spill writes. Explicit
+	// WithSortMemoryBlocks bypasses all of this, as does a plan with no
+	// memory-buffering operator.
 	buildBlocks := cfg.SortMemoryBlocks
 	var budget xsort.Budget
-	if db.gov != nil && !cfg.memoryOverride && planUsesSortMemory(inner) {
-		g, err := db.gov.Acquire(cfg.SortMemoryBlocks, tap, abort)
+	if ask := inner.SortMemoryAsk(cfg.SortMemoryBlocks); db.gov != nil && !cfg.memoryOverride && ask > 0 {
+		g, err := db.gov.Acquire(ask, tap, abort)
 		if err != nil {
 			return nil, err
 		}
@@ -402,14 +406,6 @@ func recoverQuery(dst *error) {
 func openOp(op exec.Operator) (err error) {
 	defer recoverQuery(&err)
 	return op.Open()
-}
-
-// planUsesSortMemory reports whether the plan contains an operator that
-// buffers tuples against the sort-memory budget — a sort enforcer or a
-// block-nested-loops join spool. Plans without one (pure scans, filters,
-// hash operators) run grant-free: they take nothing from the global pool.
-func planUsesSortMemory(p *core.Plan) bool {
-	return p.CountKind(core.OpSort) > 0 || p.CountKind(core.OpNLJoin) > 0
 }
 
 // Next advances to the next row, reporting whether one is available. It

@@ -118,6 +118,8 @@ func build(p *Plan, cfg BuildConfig) (exec.Operator, error) {
 			return exec.NewSortSRS(children[0], p.SortTarget, xcfg)
 		}
 		return exec.NewSortMRS(children[0], p.SortTarget, p.SortGiven, xcfg)
+	case OpTopN:
+		return exec.NewSortTopN(children[0], p.SortTarget, p.SortGiven, p.LimitK, xcfg)
 	case OpMergeJoin:
 		return exec.NewMergeJoin(children[0], children[1], p.LeftKey, p.RightKey, p.JoinType)
 	case OpHashJoin:

@@ -351,7 +351,7 @@ func (opt *Optimizer) limitCandidates(t *logical.Limit, required sortord.Order, 
 	if startup > total {
 		startup = total
 	}
-	return []*Plan{{
+	plans := []*Plan{{
 		Kind:     OpLimit,
 		Children: []*Plan{child},
 		LimitK:   t.K,
@@ -365,7 +365,70 @@ func (opt *Optimizer) limitCandidates(t *logical.Limit, required sortord.Order, 
 			Rows:    rows,
 		},
 		Logical: t,
-	}}, nil
+	}}
+	top, err := opt.topNCandidate(t, required, child)
+	if err != nil || top == nil {
+		return plans, err
+	}
+	return append(plans, top), nil
+}
+
+// topNCandidate plans LIMIT K over an ordered input as one bounded Top-N
+// enforcer instead of Limit over a sort, or returns nil when it does not
+// apply. The order is the Limit's own ORDER BY child, else the order
+// required of the Limit. TopN is a candidate only when K is below the
+// input's estimated rows and K rows, at the Tuple.MemSize the sorts
+// account memory in, fit in M: it never spills. When the best Limit child
+// is a partial sort to that order, TopN takes the sort's input and given
+// prefix and is charged only the segments up to the first boundary past
+// K; otherwise it reads the best unordered plan of the input in full.
+// Candidates are listed after the Limit plan, so a tie keeps Limit.
+func (opt *Optimizer) topNCandidate(t *logical.Limit, required sortord.Order, child *Plan) (*Plan, error) {
+	order, input := required, t.Child
+	if ob, ok := t.Child.(*logical.OrderBy); ok {
+		order, input = ob.Order, ob.Child
+	}
+	if order.IsEmpty() || t.K >= input.Props().Rows {
+		return nil, nil
+	}
+	m := opt.opts.Model
+	memBlocks := m.TopNBlocks(t.K, input.Schema().AvgMemSize())
+	if memBlocks > m.MemoryBlocks {
+		return nil, nil
+	}
+	var in *Plan
+	given := sortord.Empty
+	var inCost float64
+	readRows := input.Props().Rows
+	if child.IsPartialSort() && child.SortTarget.Equal(order) {
+		in, given = child.Children[0], child.SortGiven
+		if child.SortSegments > 1 {
+			_, readRows = child.segmentPrefix(t.K)
+		}
+		inCost = in.PrefixCost(readRows)
+	} else {
+		var err error
+		if in, err = opt.bestPlan(input, sortord.Empty, 0); err != nil {
+			return nil, err
+		}
+		inCost = in.Cost.Total
+	}
+	rows := t.Props().Rows
+	total := inCost + m.TopN(readRows, t.K).Total
+	return &Plan{
+		Kind:       OpTopN,
+		Children:   []*Plan{in},
+		LimitK:     t.K,
+		SortTarget: order.Clone(),
+		SortGiven:  given.Clone(),
+		MemBlocks:  memBlocks,
+		Schema:     in.Schema,
+		OutOrder:   order.Clone(),
+		Rows:       rows,
+		Blocks:     opt.blocksFor(rows, in.Schema.AvgTupleWidth()),
+		Cost:       cost.Cost{Startup: total, Total: total, Rows: rows},
+		Logical:    t,
+	}, nil
 }
 
 // enforce adds a (partial) sort on top of plan if it does not already

@@ -44,6 +44,7 @@ const (
 	OpDedup
 	OpLimit
 	OpFetch
+	OpTopN
 )
 
 func (k OpKind) String() string {
@@ -78,6 +79,8 @@ func (k OpKind) String() string {
 		return "Limit"
 	case OpFetch:
 		return "Fetch"
+	case OpTopN:
+		return "TopN"
 	}
 	return fmt.Sprintf("Op(%d)", uint8(k))
 }
@@ -96,8 +99,8 @@ type Plan struct {
 	Index      *catalog.Index
 	Pred       expr.Expr
 	Cols       []logical.ProjCol
-	SortTarget sortord.Order // OpSort: order to produce
-	SortGiven  sortord.Order // OpSort: known input prefix (ε => full sort)
+	SortTarget sortord.Order // OpSort, OpTopN: order to produce
+	SortGiven  sortord.Order // OpSort, OpTopN: known input prefix (ε => full sort)
 	LeftKey    sortord.Order // OpMergeJoin
 	RightKey   sortord.Order // OpMergeJoin
 	LeftKeys   []string      // OpHashJoin
@@ -107,13 +110,18 @@ type Plan struct {
 	Aggs       []exec.AggSpec
 	UnionOrder sortord.Order // OpMergeUnion
 	DedupRows  bool          // OpMergeUnion: duplicate-eliminating
-	LimitK     int64         // OpLimit
+	LimitK     int64         // OpLimit, OpTopN: rows to produce
 	FetchKeys  []string      // OpFetch: child columns carrying the cluster key
 	// SortSegments is the estimated partial-sort segment count D (OpSort
 	// with a non-empty SortGiven). PrefixCost uses it to charge a Top-K
 	// prefix exactly ⌈k·D/N⌉ segment sorts instead of the generic linear
 	// interpolation.
 	SortSegments int64
+	// MemBlocks is the sort memory an OpTopN holds: K rows at the
+	// schema's estimated Tuple.MemSize, in blocks. The optimizer only
+	// plans a TopN when this fits in M, and a query whose only
+	// memory-buffering operators are TopNs asks the governor for their sum.
+	MemBlocks int64
 
 	// Derived annotations.
 	Schema   *types.Schema
@@ -151,20 +159,23 @@ func (p *Plan) PrefixCost(k int64) float64 {
 		return p.Cost.Total
 	}
 	if p.IsPartialSort() && p.SortSegments > 1 && len(p.Children) == 1 {
-		child := p.Children[0]
-		segs := ordersel.SegmentBudget(k, p.Rows, p.SortSegments)
-		perSegRows := p.Rows / p.SortSegments
-		if perSegRows < 1 {
-			perSegRows = 1
-		}
-		inRows := segs * perSegRows
-		if inRows > p.Rows {
-			inRows = p.Rows
-		}
+		segs, inRows := p.segmentPrefix(k)
 		perSegCost := p.LocalCost() / float64(p.SortSegments)
-		return child.PrefixCost(inRows) + float64(segs)*perSegCost
+		return p.Children[0].PrefixCost(inRows) + float64(segs)*perSegCost
 	}
 	return p.Cost.Prefix(k)
+}
+
+// segmentPrefix returns how many segments a partial sort must read to
+// deliver its first k rows, and how many input rows those segments hold
+// (uniform segments of Rows/SortSegments rows).
+func (p *Plan) segmentPrefix(k int64) (segs, inRows int64) {
+	segs = ordersel.SegmentBudget(k, p.Rows, p.SortSegments)
+	perSegRows := p.Rows / max(p.SortSegments, 1)
+	if perSegRows < 1 {
+		perSegRows = 1
+	}
+	return segs, min(segs*perSegRows, p.Rows)
 }
 
 // IsPartialSort reports whether p is a partial-sort enforcer.
@@ -189,6 +200,25 @@ func (p *Plan) CountKind(k OpKind) int {
 		}
 	})
 	return n
+}
+
+// SortMemoryAsk returns how many blocks of sort memory the plan needs from
+// a governor whose full per-query ask is full: 0 when no operator buffers
+// tuples against sort memory; full when a sort enforcer or a nested-loops
+// spool does, since those use whatever they are given; otherwise the sum
+// of the TopN enforcers' MemBlocks (the figure the optimizer checked
+// against M), at most full.
+func (p *Plan) SortMemoryAsk(full int) int {
+	if p.CountKind(OpSort) > 0 || p.CountKind(OpNLJoin) > 0 {
+		return full
+	}
+	var blocks int64
+	p.Walk(func(q *Plan) {
+		if q.Kind == OpTopN {
+			blocks += q.MemBlocks
+		}
+	})
+	return int(min(blocks, int64(full)))
 }
 
 // describe renders the node's single-line summary.
@@ -229,6 +259,11 @@ func (p *Plan) describe() string {
 		fmt.Fprintf(&b, " on %v dedup=%v", p.UnionOrder, p.DedupRows)
 	case OpLimit:
 		fmt.Fprintf(&b, " %d", p.LimitK)
+	case OpTopN:
+		fmt.Fprintf(&b, " %d %v", p.LimitK, p.SortTarget)
+		if !p.SortGiven.IsEmpty() {
+			fmt.Fprintf(&b, " partial on %v", p.SortGiven)
+		}
 	case OpFetch:
 		fmt.Fprintf(&b, " %s via %v", p.Table.Name, p.FetchKeys)
 	}

@@ -201,6 +201,32 @@ func (m Model) PartialSort(rows, blocks, segments int64, suffixLen int) Cost {
 	}
 }
 
+// TopN is the bounded Top-N enforcer's own work over rows input rows: each
+// row pays one key normalization and, against a heap of k rows, about
+// log₂k comparisons — at least the one that rejects it. It does no I/O
+// (the enforcer never spills) and is blocking: the K-th row is only known
+// once the input has been read. The caller adds the cost of reading the
+// input.
+func (m Model) TopN(rows, k int64) Cost {
+	if rows <= 0 {
+		return Cost{}
+	}
+	depth := 1.0
+	if k > 2 {
+		depth = math.Log2(float64(k))
+	}
+	return Blocking(float64(rows) * (depth*m.CmpWeight + m.KeyEncodeWeight))
+}
+
+// TopNBlocks is the sort memory a Top-N enforcer holds: k rows of rowBytes
+// (Tuple.MemSize, the figure the sorts account memory in) rounded up to
+// whole blocks, at least one.
+func (m Model) TopNBlocks(k int64, rowBytes int) int64 {
+	page := int64(m.PageSize)
+	b := (k*int64(rowBytes) + page - 1) / page
+	return max(b, 1)
+}
+
 // ScanIO is the cost of a sequential scan over blocks pages (streaming:
 // pages are read as the consumer pulls).
 func (m Model) ScanIO(blocks int64) float64 { return float64(blocks) }

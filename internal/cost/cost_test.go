@@ -348,3 +348,27 @@ func TestSpillLayoutPricing(t *testing.T) {
 		t.Fatal("zeroed knob must recover B·(2p+1)")
 	}
 }
+
+// TestTopNPricing: the Top-N enforcer is charged a key encode and log₂K
+// comparisons per input row (at least one), no I/O, all before its first
+// row; its memory is K rows of MemSize bytes in whole blocks.
+func TestTopNPricing(t *testing.T) {
+	m := DefaultModel()
+	c := m.TopN(1000, 64)
+	if want := 1000 * (6*m.CmpWeight + m.KeyEncodeWeight); math.Abs(c.Total-want) > 1e-12 || c.Startup != c.Total {
+		t.Fatalf("TopN(1000, 64) = %+v, want blocking %f", c, want)
+	}
+	if c := m.TopN(1000, 1); math.Abs(c.Total-1000*(m.CmpWeight+m.KeyEncodeWeight)) > 1e-12 {
+		t.Fatalf("TopN(1000, 1) = %+v: each row costs one rejecting comparison", c)
+	}
+	if c := m.TopN(0, 10); c != (Cost{}) {
+		t.Fatalf("TopN over no rows = %+v", c)
+	}
+	for _, tc := range []struct {
+		k, blocks int64
+	}{{1, 1}, {273, 8}, {274, 9}} {
+		if got := m.TopNBlocks(tc.k, 120); got != tc.blocks {
+			t.Fatalf("TopNBlocks(%d, 120) = %d, want %d", tc.k, got, tc.blocks)
+		}
+	}
+}

@@ -20,15 +20,13 @@ type sorter interface {
 	Stats() *xsort.SortStats
 }
 
-// Sort is the order-enforcer operator. It wraps either SRS (standard
-// replacement selection, used when nothing is known about the input order)
-// or MRS (the paper's modified replacement selection, used when the input
-// is known to carry a prefix of the target order — the "partial sort
-// enforcer" of §3.2). The wrapped sort inherits the Config's key mode,
-// run-formation mode (comparison sort vs MSD radix on the encoded keys;
-// identical output key order and run structure, different work
-// accounting — see the xsort package comment) and parallelism knobs
-// unchanged.
+// Sort is the order-enforcer operator. It wraps SRS (standard replacement
+// selection, used when nothing is known about the input order), MRS (the
+// paper's modified replacement selection, used when the input is known to
+// carry a prefix of the target order — the "partial sort enforcer" of
+// §3.2), or TopN (a bounded heap that returns only the first K rows of the
+// target order, with or without a known prefix). The wrapped sort inherits
+// the Config's parallelism, batching and abort knobs unchanged.
 type Sort struct {
 	child  Operator
 	target sortord.Order
@@ -57,6 +55,18 @@ func NewSortMRS(child Operator, target, given sortord.Order, cfg xsort.Config) (
 	return &Sort{child: child, target: target.Clone(), given: given.Clone(), impl: m}, nil
 }
 
+// NewSortTopN builds a bounded Top-N enforcer: it returns the first k
+// rows of the input under target, with key ties in input order. given is
+// the order known to hold on the input (ε for none); with one, the
+// enforcer stops reading at the first segment boundary past k rows.
+func NewSortTopN(child Operator, target, given sortord.Order, k int64, cfg xsort.Config) (*Sort, error) {
+	t, err := xsort.NewTopN(child, child.Schema(), target, given, k, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Sort{child: child, target: target.Clone(), given: given.Clone(), impl: t}, nil
+}
+
 // Schema returns the child schema (sorting is schema-preserving).
 func (s *Sort) Schema() *types.Schema { return s.child.Schema() }
 
@@ -69,8 +79,8 @@ func (s *Sort) Target() sortord.Order { return s.target }
 // Given returns the input order the enforcer exploits (ε for SRS).
 func (s *Sort) Given() sortord.Order { return s.given }
 
-// IsPartial reports whether this is a partial-sort enforcer: only
-// NewSortMRS records a non-empty given order.
+// IsPartial reports whether the enforcer exploits a known input prefix:
+// NewSortMRS and a NewSortTopN with a non-empty given order.
 func (s *Sort) IsPartial() bool { return !s.given.IsEmpty() }
 
 // SortStats exposes the underlying sort's work counters.

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"pyro/internal/catalog"
 	"pyro/internal/core"
@@ -29,7 +30,7 @@ func RunExtensions(w io.Writer, scale Scale) error {
 
 func runTopK(w io.Writer, scale Scale) error {
 	k := scale.limit()
-	section(w, fmt.Sprintf("Extension (§7): Top-K (limit %d) over a pipelined partial sort", k))
+	section(w, fmt.Sprintf("Extension (§7): Top-K (limit %d) over a pipelined partial sort and a bounded Top-N heap", k))
 	disk := storage.NewDisk(0)
 	cat := catalog.New(disk)
 	rows := scale.rows(200_000)
@@ -37,30 +38,69 @@ func runTopK(w io.Writer, scale Scale) error {
 	if err != nil {
 		return err
 	}
-	base := logical.NewOrderBy(logical.NewScan(tb), sortord.New("c1", "c2"))
-	q := logical.NewLimit(base, k)
 	const sortBlocks = 64
-
-	t := &table{header: []string{"plan", "est_cost", "est_startup", "time_ms", "first_row_ms", "page_reads", "run_io", "rows"}}
-	for _, v := range []struct {
-		name    string
-		disable bool
-	}{{"partial sort (MRS, limit closes after first segments)", false}, {"full sort (SRS, must consume everything)", true}} {
+	optimize := func(q logical.Node, disablePartial bool) (*core.Plan, error) {
 		opts := core.DefaultOptions(core.HeuristicFavorable)
-		opts.DisablePartialSort = v.disable
+		opts.DisablePartialSort = disablePartial
 		opts.Model.MemoryBlocks = sortBlocks
 		res, err := core.Optimize(q, opts)
 		if err != nil {
+			return nil, err
+		}
+		return res.Plan, nil
+	}
+	// limitOver prices Limit K over the unlimited ordered plan the way the
+	// optimizer's Limit candidate does — the child's K-row prefix — so the
+	// Sort+Limit arms show what the optimizer weighed TopN against.
+	limitOver := func(order sortord.Order, disablePartial bool) (*core.Plan, error) {
+		child, err := optimize(logical.NewOrderBy(logical.NewScan(tb), order), disablePartial)
+		if err != nil {
+			return nil, err
+		}
+		total := child.PrefixCost(k)
+		return &core.Plan{
+			Kind: core.OpLimit, Children: []*core.Plan{child}, LimitK: k,
+			Schema: child.Schema, OutOrder: child.OutOrder, Rows: k,
+			Cost: cost.Cost{Startup: min(child.Cost.Startup, total), Total: total, Rows: k},
+		}, nil
+	}
+	chosen := func(order sortord.Order) func() (*core.Plan, error) {
+		return func() (*core.Plan, error) {
+			return optimize(logical.NewLimit(logical.NewOrderBy(logical.NewScan(tb), order), k), false)
+		}
+	}
+	clustered, unclustered := sortord.New("c1", "c2"), sortord.New("c2", "c3")
+
+	t := &table{header: []string{"query", "plan", "est_cost", "est_startup", "time_ms", "first_row_ms", "page_reads", "run_io", "rows"}}
+	for _, v := range []struct {
+		query, name string
+		plan        func() (*core.Plan, error)
+	}{
+		{"ORDER BY c1, c2", "Limit over partial sort (MRS, closes after first segments)",
+			func() (*core.Plan, error) { return limitOver(clustered, false) }},
+		{"ORDER BY c1, c2", "Limit over full sort (SRS, must consume everything)",
+			func() (*core.Plan, error) { return limitOver(clustered, true) }},
+		{"ORDER BY c1, c2", "optimizer's choice", chosen(clustered)},
+		{"ORDER BY c2, c3", "Limit over full sort (SRS, spills every row)",
+			func() (*core.Plan, error) { return limitOver(unclustered, false) }},
+		{"ORDER BY c2, c3", "optimizer's choice", chosen(unclustered)},
+	} {
+		plan, err := v.plan()
+		if err != nil {
 			return err
 		}
-		rs, err := buildAndMeasure(disk, res.Plan, sortBlocks, scale)
+		name := v.name
+		if plan.Kind == core.OpTopN {
+			name += ": " + strings.SplitN(plan.Format(), "  (", 2)[0]
+		}
+		rs, err := buildAndMeasure(disk, plan, sortBlocks, scale)
 		if err != nil {
 			return err
 		}
 		if rs.rows != k {
 			return fmt.Errorf("topk: %d rows, want %d", rs.rows, k)
 		}
-		t.add(v.name, fmt.Sprintf("%.0f", res.Plan.Cost.Total), fmt.Sprintf("%.0f", res.Plan.Cost.Startup),
+		t.add(v.query, name, fmt.Sprintf("%.0f", plan.Cost.Total), fmt.Sprintf("%.0f", plan.Cost.Startup),
 			ms(rs.elapsed), ms(rs.firstOut),
 			fmt.Sprint(rs.io.PageReads), fmt.Sprint(rs.io.RunTotal()), fmt.Sprint(rs.rows))
 	}
@@ -68,6 +108,7 @@ func runTopK(w io.Writer, scale Scale) error {
 	fmt.Fprintf(w, "§3.1 benefit 2: \"producing tuples early has immense benefits for Top-K queries\"\n")
 	fmt.Fprintf(w, "two-phase model: the Limit node prices the plan at its first-%d-rows prefix (%d of %d segments)\n",
 		k, ordersel.SegmentBudget(k, rows, 500), 500)
+	fmt.Fprintf(w, "TopN keeps the best %d rows in a heap: no run I/O, and over the clustering prefix it stops at the first segment boundary past %d rows\n", k, k)
 	return nil
 }
 

@@ -138,6 +138,21 @@ func (s *Schema) AvgTupleWidth() int {
 	return w
 }
 
+// AvgMemSize estimates Tuple.MemSize for one tuple of the schema, with
+// string columns at their estimation width. The sort enforcers account
+// their memory in MemSize bytes, so an estimate of whether rows fit in
+// sort memory must use this figure rather than AvgTupleWidth.
+func (s *Schema) AvgMemSize() int {
+	n := tupleHeaderBytes
+	for _, c := range s.cols {
+		n += datumBytes
+		if c.Kind == KindString {
+			n += c.DefaultWidth()
+		}
+	}
+	return n
+}
+
 // String renders the schema for debug output.
 func (s *Schema) String() string {
 	parts := make([]string, len(s.cols))

@@ -29,9 +29,12 @@ func (t Tuple) Concat(u Tuple) Tuple {
 	return out
 }
 
+// tupleHeaderBytes is the slice header MemSize charges per tuple.
+const tupleHeaderBytes = 24
+
 // MemSize approximates the in-memory footprint in bytes.
 func (t Tuple) MemSize() int {
-	n := 24 // slice header
+	n := tupleHeaderBytes
 	for _, d := range t {
 		n += d.MemSize()
 	}

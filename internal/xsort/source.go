@@ -39,6 +39,9 @@ type tupleSource struct {
 	keys  []keyed
 	pos   int
 	done  bool
+	// nextRow state: live rows in the current chunk and the reused view.
+	live int
+	view types.Tuple
 }
 
 // newTupleSource builds the source; it serves rows unless cfg enables
@@ -65,20 +68,9 @@ func (s *tupleSource) next() (keyed, bool, error) {
 		return s.ky.wrap(t), true, nil
 	}
 	for s.pos >= len(s.keys) {
-		if s.done {
-			return keyed{}, false, nil
-		}
-		if s.chunk == nil {
-			s.chunk = types.GetChunk(s.ncols, s.batch)
-		}
-		if err := s.cs.NextChunk(s.chunk); err != nil {
+		live, err := s.refill()
+		if err != nil || live == 0 {
 			return keyed{}, false, err
-		}
-		live := s.chunk.Rows()
-		if live == 0 {
-			s.done = true
-			s.release()
-			return keyed{}, false, nil
 		}
 		// One datum slab owns the whole batch: the sort retains these
 		// tuples past the next refill, so they must not alias the chunk,
@@ -98,6 +90,50 @@ func (s *tupleSource) next() (keyed, bool, error) {
 	kt := s.keys[s.pos]
 	s.pos++
 	return kt, true, nil
+}
+
+// nextRow returns the next input tuple with no sort key attached. The row
+// path hands over the input's own tuple (owned is true). In batch mode the
+// tuple is a view into one reused row buffer that the next call
+// overwrites, so a consumer that keeps only a few of the rows it sees —
+// the Top-N enforcer — copies just those and allocates nothing for the
+// rest. A source serves either next or nextRow, never both.
+func (s *tupleSource) nextRow() (t types.Tuple, ok, owned bool, err error) {
+	if s.cs == nil {
+		t, ok, err := s.it.Next()
+		return t, ok, true, err
+	}
+	if s.pos >= s.live {
+		live, err := s.refill()
+		if err != nil || live == 0 {
+			return nil, false, false, err
+		}
+		s.live, s.pos = live, 0
+	}
+	s.view = s.chunk.CopyRow(s.view, s.pos)
+	s.pos++
+	return s.view, true, false, nil
+}
+
+// refill pulls the next chunk from the input and returns its live row
+// count; 0 means end of input, at which point the chunk goes back to the
+// pool.
+func (s *tupleSource) refill() (int, error) {
+	if s.done {
+		return 0, nil
+	}
+	if s.chunk == nil {
+		s.chunk = types.GetChunk(s.ncols, s.batch)
+	}
+	if err := s.cs.NextChunk(s.chunk); err != nil {
+		return 0, err
+	}
+	live := s.chunk.Rows()
+	if live == 0 {
+		s.done = true
+		s.release()
+	}
+	return live, nil
 }
 
 // release returns the refill chunk to the pool (idempotent; called at EOF

@@ -14,6 +14,12 @@
 //     been read, giving pipelined execution, early output, and fewer
 //     comparisons (suffix-only within a segment).
 //
+//   - TopN — the bounded enforcer for ORDER BY … LIMIT K: a max-heap of
+//     the best K tuples seen (keyed by normalized key and input position,
+//     so ties keep input order), no spill and no run I/O; given a known
+//     prefix of the target order it stops reading at the first segment
+//     boundary past K rows.
+//
 // Key comparisons use normalized keys: each tuple's sort key is encoded
 // once (package keys) into an order-preserving byte string, so a
 // comparison is a single bytes.Compare instead of a typed field walk.

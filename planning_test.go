@@ -93,25 +93,19 @@ func TestTopKPlanFlipMatrix(t *testing.T) {
 
 	// Correctness across the flip: the limited plans return the first k
 	// rows of the unlimited ordering.
-	want, err := db.Execute(unlimited)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, _ := queryAll(t, db, unlimited)
 	for _, k := range []int64{1, 100} {
 		plan, err := db.Optimize(groupedQuery(db).Limit(k))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := db.Execute(plan)
-		if err != nil {
-			t.Fatal(err)
+		got, _ := queryAll(t, db, plan)
+		if int64(len(got)) != k {
+			t.Fatalf("Limit(%d) returned %d rows", k, len(got))
 		}
-		if int64(len(got.Data)) != k {
-			t.Fatalf("Limit(%d) returned %d rows", k, len(got.Data))
-		}
-		for i := range got.Data {
-			if !reflect.DeepEqual(got.Data[i], want.Data[i]) {
-				t.Fatalf("Limit(%d) row %d = %v, want %v", k, i, got.Data[i], want.Data[i])
+		for i := range got {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("Limit(%d) row %d = %v, want %v", k, i, got[i], want[i])
 			}
 		}
 	}
@@ -353,5 +347,62 @@ func TestContendedPoolFlipsPlanChoice(t *testing.T) {
 	}
 	if !strings.Contains(released.Explain(), "HashAggregate") {
 		t.Fatalf("releasing contention should restore the hash plan:\n%s", released.Explain())
+	}
+}
+
+// TestTopNPlanChoice pins when the optimizer replaces Limit over a sort
+// with one bounded Top-N enforcer: for unclustered ORDER BY v, pad
+// LIMIT 100 it plans TopN straight over the scan, with no sort; over the
+// clustering prefix it plans a TopN that exploits the given order; and
+// when K rows (at Tuple.MemSize, 120 bytes here) no longer fit in M it
+// keeps Limit over the sort — 273 rows fill 8 blocks of 4 KiB exactly,
+// 274 need a ninth.
+func TestTopNPlanChoice(t *testing.T) {
+	db := segmentedDB(t, 50_000, 500)
+	plan, err := db.Optimize(db.Scan("big").OrderBy("v", "pad").Limit(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := plan.inner.Signature(); got != "TopN>TableScan" {
+		t.Fatalf("unclustered Top-K planned %s, want TopN>TableScan:\n%s", got, plan.Explain())
+	}
+	if !strings.HasPrefix(plan.Explain(), "TopN 100 (v, pad)  (") {
+		t.Fatalf("TopN explain line:\n%s", plan.Explain())
+	}
+	given, err := db.Optimize(db.Scan("big").OrderBy("g", "v").Limit(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(given.Explain(), "TopN 10 (g, v) partial on (g)  (") {
+		t.Fatalf("clustered Top-K should plan a given-prefix TopN:\n%s", given.Explain())
+	}
+
+	small := Open(Config{SortMemoryBlocks: 8})
+	rows := make([][]any, 20_000)
+	for i := range rows {
+		rows[i] = []any{int64(i / 500), int64(i * 7 % 10_000), int64(i)}
+	}
+	if err := small.CreateTable("big", []Column{
+		{Name: "g", Type: Int64},
+		{Name: "v", Type: Int64},
+		{Name: "pad", Type: Int64},
+	}, ClusterOn("g"), rows); err != nil {
+		t.Fatal(err)
+	}
+	for k, want := range map[int64]string{273: "TopN>TableScan", 274: "Limit>Sort>TableScan"} {
+		plan, err := small.Optimize(small.Scan("big").OrderBy("v", "pad").Limit(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := plan.inner.Signature(); got != want {
+			t.Fatalf("M = 8 blocks, K = %d: planned %s, want %s:\n%s", k, got, want, plan.Explain())
+		}
+		got, st := queryAll(t, small, plan)
+		if int64(len(got)) != k {
+			t.Fatalf("K = %d: %d rows", k, len(got))
+		}
+		if spilled := st.IO.RunTotal() > 0; spilled != (k == 274) {
+			t.Fatalf("K = %d: run I/O %d", k, st.IO.RunTotal())
+		}
 	}
 }

@@ -250,7 +250,10 @@ func (q *Query) OrderBy(cols ...string) *Query {
 // full-sort/hash plans to pipelined partial-sort ones — and the executor's
 // Limit operator closes its input the moment the k-th row is out,
 // abandoning unsorted segments and unread spill runs without waiting for
-// the consumer.
+// the consumer. When k rows fit in sort memory the optimizer also weighs
+// a bounded Top-N enforcer in place of Limit over a sort: it keeps the
+// best k rows in a heap, writes no run page, and over a known order
+// prefix stops reading at the first segment boundary past k rows.
 //
 // k must be non-negative. k = 0 has defined semantics: a valid query with
 // an empty result, planned at zero cost with no child pipeline at all (no

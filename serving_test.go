@@ -124,6 +124,73 @@ func TestScanOnlyPlanTakesNoGrant(t *testing.T) {
 	}
 }
 
+// TestTopNCursorLeavesSpillingSortItsAsk: a query whose only memory user
+// is a Top-N enforcer asks the governor for K rows' worth of blocks, not
+// M. Beside a spilling sort that holds its full 16-block ask of a 24-block
+// pool, a Top-N cursor fits in the free 8 blocks, so nothing is reclaimed
+// and the sort keeps its ask. A second full sort in the same spot asks for
+// its fair share of 12 and shrinks the spilling sort to make room.
+func TestTopNCursorLeavesSpillingSortItsAsk(t *testing.T) {
+	db := servingDB(t, Config{GlobalSortMemoryBlocks: 24})
+	ctx := context.Background()
+	spillPlan, err := db.Optimize(db.Scan("big").OrderBy("v"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	topPlan, err := db.Optimize(db.Scan("small").OrderBy("v").Limit(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := topPlan.inner.Signature(); got != "TopN>TableScan" {
+		t.Fatalf("Top-K query planned %s, want a TopN:\n%s", got, topPlan.Explain())
+	}
+	sortPlan, err := db.Optimize(db.Scan("small").OrderBy("v"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name        string
+		second      *Plan
+		grant, held int // second query's grant; the spilling sort's blocks after it
+	}{
+		{"topn", topPlan, 1, 16},
+		{"full-sort", sortPlan, 12, 12},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spill, err := db.Query(ctx, spillPlan) // SRS spills inside Query
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer spill.Close()
+			if st := spill.Stats(); st.GrantedBlocks != 16 || st.IO.RunPageWrites == 0 {
+				t.Fatalf("spilling sort: granted %d, %d run-page writes", st.GrantedBlocks, st.IO.RunPageWrites)
+			}
+			shrinks := db.ServingStats().Governor.Shrinks
+			cur, err := db.Query(ctx, tc.second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if held := db.ServingStats().Governor.GrantedBlocks - tc.grant; held != tc.held {
+				t.Errorf("spilling sort holds %d blocks beside the %s cursor, want %d", held, tc.name, tc.held)
+			}
+			if err := cur.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if g := cur.Stats().GrantedBlocks; g != tc.grant {
+				t.Fatalf("%s cursor granted %d blocks, want %d", tc.name, g, tc.grant)
+			}
+			if reclaimed := db.ServingStats().Governor.Shrinks != shrinks; reclaimed != (tc.held < 16) {
+				t.Fatalf("%s cursor: governor reclaim = %v", tc.name, reclaimed)
+			}
+			for spill.Next() {
+			}
+			if err := spill.Err(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestGovernorStarvationFairness is the serving layer's liveness property:
 // one huge spilling sort holding the whole pool must not starve a queue of
 // small Top-K cursors. The big cursor spills its first oversized segment
