@@ -13,7 +13,7 @@ ABBENCH = 'RunFormation|TimeToFirstRow|TopKPlanned|Throughput'
 # so the slack only absorbs float formatting, not machine variance.
 TOLERANCE ?= 2
 
-.PHONY: build test race race-serve chaos bench bench-ab bench-gate bench-baseline fmt vet lint-pyro ci
+.PHONY: build test race race-serve chaos bench bench-ab bench-gate bench-baseline perf-smoke fmt vet lint-pyro ci
 
 build:
 	$(GO) build ./...
@@ -65,6 +65,18 @@ bench-baseline:
 	$(GO) test -run '^$$' -bench $(ABBENCH) -benchtime 1x . > testdata/bench-baseline.txt
 	@echo "wrote testdata/bench-baseline.txt"
 
+# End-to-end smoke of the repo benchmark (perfbench/, declared in
+# BENCHMARK.json): every workload runs for one second at seed 1. perfbench
+# exits non-zero when a query's rows disagree with its reference
+# evaluator, when per-query I/O does not sum to the device's, or when a
+# repeated set-up does different work — so this catches a wrong or
+# nondeterministic engine end to end. The numbers it prints are not
+# measurements.
+perf-smoke:
+	@for w in olap-report topk-serve adhoc-plan; do \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 || exit 1; \
+	done
+
 # The serving layer's concurrency under the race detector at a forced
 # GOMAXPROCS: governor fairness/starvation, admission, plan cache, the
 # concurrent-cursor tests and the chunked executor's pooled-buffer paths.
@@ -95,4 +107,4 @@ vet:
 lint-pyro:
 	$(GO) run ./cmd/pyro-lint -max-suppressions 0 ./...
 
-ci: build vet fmt lint-pyro test race race-serve chaos bench bench-ab bench-gate
+ci: build vet fmt lint-pyro test race race-serve chaos bench bench-ab bench-gate perf-smoke

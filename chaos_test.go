@@ -20,8 +20,12 @@ import (
 // their slot.
 func chaosDB(t testing.TB) *Database {
 	t.Helper()
+	// Sorts charge a row at its page-format size (31 bytes here), so 3
+	// blocks hold ~400 rows: the full sort and each 1 000-row segment of
+	// the partial sort spill. (At 2 blocks the cost model's merge-pass
+	// logarithm, base M−1, degenerates.)
 	db := Open(Config{
-		SortMemoryBlocks:     8,
+		SortMemoryBlocks:     3,
 		MaxConcurrentQueries: 4,
 	})
 	const n, segSize = 4000, 1000
@@ -51,10 +55,11 @@ func chaosDB(t testing.TB) *Database {
 
 // chaosScenario is one arm of the fault-sweep plan matrix.
 type chaosScenario struct {
-	name  string
-	build func(db *Database) *Query
-	limit int    // rows to read before closing (0 = drain everything)
-	shape string // when set, the plan signature the arm must run
+	name   string
+	build  func(db *Database) *Query
+	limit  int    // rows to read before closing (0 = drain everything)
+	shape  string // when set, the plan signature the arm must run
+	spills bool   // the arm's sort must write runs, so run pages take faults
 }
 
 func chaosScenarios() []chaosScenario {
@@ -63,13 +68,13 @@ func chaosScenarios() []chaosScenario {
 		// merging all on the critical path.
 		{name: "spill-sort", build: func(db *Database) *Query {
 			return db.Scan("big").OrderBy("v")
-		}},
+		}, spills: true},
 		// Pipelined partial sort consumed Top-K style: the cursor closes
 		// after a prefix, so later segments — and the fault points inside
 		// them — are legitimately never reached.
 		{name: "topk-early-close", build: func(db *Database) *Query {
 			return db.Scan("big").OrderBy("g", "v")
-		}, limit: 16},
+		}, limit: 16, spills: true},
 		// Top-K on an unclustered order: a bounded Top-N enforcer reads the
 		// whole table and writes no run page, so every fault point is a
 		// table-page read inside its heap loop.
@@ -77,7 +82,8 @@ func chaosScenarios() []chaosScenario {
 			return db.Scan("big").OrderBy("v", "pad").Limit(50)
 		}, shape: "TopN>TableScan"},
 		// Equality join on non-clustered columns (a hash join under the
-		// default heuristic) with a sorted output on top.
+		// default heuristic) with a sorted output on top; the ~200 joined
+		// rows sort in memory.
 		{name: "hash-join", build: func(db *Database) *Query {
 			return db.Scan("big").Join(db.Scan("small"), Eq(Col("v"), Col("k"))).OrderBy("pad")
 		}},
@@ -175,6 +181,9 @@ func TestChaosFaultSweep(t *testing.T) {
 				baseRows, baseIO, err := runChaosQuery(db, plan, batch, sc.limit)
 				if err != nil {
 					t.Fatalf("no-fault baseline failed: %v", err)
+				}
+				if sc.spills && baseIO.RunPageWrites == 0 {
+					t.Fatalf("baseline wrote no run page; the arm must spill:\n%s", plan.Explain())
 				}
 				counts, err := faulttest.Observe(db.disk, func() error {
 					rows, io, err := runChaosQuery(db, plan, batch, sc.limit)

@@ -377,8 +377,8 @@ func (opt *Optimizer) limitCandidates(t *logical.Limit, required sortord.Order, 
 // enforcer instead of Limit over a sort, or returns nil when it does not
 // apply. The order is the Limit's own ORDER BY child, else the order
 // required of the Limit. TopN is a candidate only when K is below the
-// input's estimated rows and K rows, at the Tuple.MemSize the sorts
-// account memory in, fit in M: it never spills. When the best Limit child
+// input's estimated rows and K rows, at the Tuple.MemSize TopN accounts
+// its memory in, fit in M: it never spills. When the best Limit child
 // is a partial sort to that order, TopN takes the sort's input and given
 // prefix and is charged only the segments up to the first boundary past
 // K; otherwise it reads the best unordered plan of the input in full.

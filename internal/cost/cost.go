@@ -219,7 +219,7 @@ func (m Model) TopN(rows, k int64) Cost {
 }
 
 // TopNBlocks is the sort memory a Top-N enforcer holds: k rows of rowBytes
-// (Tuple.MemSize, the figure the sorts account memory in) rounded up to
+// (Tuple.MemSize, the figure TopN accounts its memory in) rounded up to
 // whole blocks, at least one.
 func (m Model) TopNBlocks(k int64, rowBytes int) int64 {
 	page := int64(m.PageSize)

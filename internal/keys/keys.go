@@ -234,22 +234,6 @@ func (c *Codec) Append(dst []byte, t types.Tuple) []byte {
 	return dst
 }
 
-// EncodeBatch appends the sort keys of rows back-to-back to dst and
-// appends each key's end offset — relative to the start of this batch —
-// to ends, returning both extended slices. Key i of the batch occupies
-// [ends[i-1], ends[i]) (with ends[-1] = 0) of the appended bytes. One
-// EncodeBatch call amortizes dst's growth checks over a whole chunk of
-// tuples; xsort's keyer then copies the block into its arena with a
-// single capacity check instead of one per tuple.
-func (c *Codec) EncodeBatch(dst []byte, rows []types.Tuple, ends []int) ([]byte, []int) {
-	base := len(dst)
-	for _, t := range rows {
-		dst = c.Append(dst, t)
-		ends = append(ends, len(dst)-base)
-	}
-	return dst, ends
-}
-
 func appendUint64(dst []byte, v uint64) []byte {
 	return append(dst,
 		byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),

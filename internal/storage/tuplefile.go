@@ -35,21 +35,42 @@ func (w *TupleWriter) PageStarts() []int64 {
 
 // Write appends one tuple, flushing a full page as needed.
 func (w *TupleWriter) Write(t types.Tuple) error {
-	if w.err != nil {
-		return w.err
-	}
-	sz := t.EncodedSize()
-	if 2+sz > w.file.pageSize {
-		return fmt.Errorf("storage: tuple of %d bytes exceeds page capacity %d", sz, w.file.pageSize-2)
-	}
-	if len(w.buf)+sz > w.file.pageSize {
-		if err := w.flush(); err != nil {
-			return err
-		}
+	if err := w.reserve(t.EncodedSize()); err != nil {
+		return err
 	}
 	w.buf = t.Encode(w.buf)
 	w.count++
 	w.tuples++
+	return nil
+}
+
+// WriteEncoded appends one tuple that is already in page format: row must
+// be exactly the bytes Tuple.Encode produces for it. The bytes are copied
+// onto the page as they are, so the file is byte-identical to one written
+// with Write; a sort that buffers rows in page format spills them without
+// decoding or re-encoding.
+func (w *TupleWriter) WriteEncoded(row []byte) error {
+	if err := w.reserve(len(row)); err != nil {
+		return err
+	}
+	w.buf = append(w.buf, row...)
+	w.count++
+	w.tuples++
+	return nil
+}
+
+// reserve makes room on the current page for one encoded tuple of sz
+// bytes, flushing the page when the tuple does not fit on it.
+func (w *TupleWriter) reserve(sz int) error {
+	if w.err != nil {
+		return w.err
+	}
+	if 2+sz > w.file.pageSize {
+		return fmt.Errorf("storage: tuple of %d bytes exceeds page capacity %d", sz, w.file.pageSize-2)
+	}
+	if len(w.buf)+sz > w.file.pageSize {
+		return w.flush()
+	}
 	return nil
 }
 

@@ -202,7 +202,8 @@ func (d Datum) EncodedSize() int {
 }
 
 // MemSize returns an approximate in-memory footprint in bytes, used by the
-// sort operators to account for their memory budget.
+// operators that buffer Go tuples (Top-N, the nested-loops spool) to
+// account for their memory budget.
 func (d Datum) MemSize() int {
 	return datumBytes + len(d.s)
 }

@@ -139,9 +139,10 @@ func (s *Schema) AvgTupleWidth() int {
 }
 
 // AvgMemSize estimates Tuple.MemSize for one tuple of the schema, with
-// string columns at their estimation width. The sort enforcers account
-// their memory in MemSize bytes, so an estimate of whether rows fit in
-// sort memory must use this figure rather than AvgTupleWidth.
+// string columns at their estimation width. The Top-N enforcer holds Go
+// tuples and accounts its memory in MemSize bytes, so an estimate of
+// whether its K rows fit in sort memory must use this figure rather than
+// AvgTupleWidth. (SRS and MRS charge page-format bytes instead.)
 func (s *Schema) AvgMemSize() int {
 	n := tupleHeaderBytes
 	for _, c := range s.cols {

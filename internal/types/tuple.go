@@ -128,6 +128,13 @@ func decodeDatum(buf []byte) (Datum, int, error) {
 // DecodeTuple parses one tuple from buf, returning the tuple and the number
 // of bytes consumed.
 func DecodeTuple(buf []byte) (Tuple, int, error) {
+	return DecodeTupleInto(nil, buf)
+}
+
+// DecodeTupleInto is DecodeTuple decoding into dst's storage when it has
+// room for the tuple's arity (allocating otherwise), so a caller can carve
+// many decoded tuples from one datum slab.
+func DecodeTupleInto(dst Tuple, buf []byte) (Tuple, int, error) {
 	if len(buf) < 4 {
 		return nil, 0, fmt.Errorf("types: short tuple header (%d bytes)", len(buf))
 	}
@@ -138,7 +145,12 @@ func DecodeTuple(buf []byte) (Tuple, int, error) {
 		return nil, 0, fmt.Errorf("types: tuple arity %d exceeds %d remaining bytes", uint32(n), len(buf)-4)
 	}
 	pos := 4
-	t := make(Tuple, n)
+	var t Tuple
+	if dst != nil && cap(dst) >= n {
+		t = dst[:n:n]
+	} else {
+		t = make(Tuple, n)
+	}
 	for i := 0; i < n; i++ {
 		if pos >= len(buf) {
 			return nil, 0, fmt.Errorf("types: truncated tuple at datum %d", i)

@@ -15,27 +15,28 @@ import (
 // goldenRows: 6000 rows in 3 oversized segments, 512-byte pages. The
 // output sequence (order-sensitive FNV checksum of the encoded tuples),
 // run/pass structure and I/O totals were captured from the paper's serial
-// algorithm before the spill path went concurrent and have not moved
-// since: run boundaries follow from the memory budget, not from how a
-// buffer is sorted. Any change to these numbers is a semantic change to
-// the sort, not a scheduling change, and must be deliberate.
+// algorithm. Run boundaries follow from the memory budget — buffered rows
+// are charged at their page-format size — not from how a buffer is
+// sorted. Any change to these numbers is a semantic change to the sort,
+// not a scheduling change, and must be deliberate.
 //
-// At M = 8 (MRS) and M = 4 (SRS) blocks of 512 bytes a memory batch holds
-// ~33 tuples, below adaptiveMinTuples, so every batch is comparison-sorted.
+// Rows are charged at their page-format size (34 bytes each), so at M = 8
+// (MRS) and M = 4 (SRS) blocks of 512 bytes a memory batch holds ~120 and
+// ~60 tuples, below adaptiveMinTuples, so every batch is comparison-sorted.
 // TestGoldenRadixAgrees re-runs the workload with batches large enough to
 // radix-partition.
 const (
 	goldenChecksum = 0x5cfb849c70b9843d
 
-	goldenMRSComparisons = 88566
-	goldenMRSRuns        = 183
-	goldenMRSPasses      = 6
-	goldenMRSIOTotal     = 2730 // 1365 reads + 1365 writes, all run-attributed
+	goldenMRSComparisons = 89888
+	goldenMRSRuns        = 51
+	goldenMRSPasses      = 3
+	goldenMRSIOTotal     = 1704 // 852 reads + 852 writes, all run-attributed
 
-	goldenSRSComparisons = 98977
-	goldenSRSRuns        = 179
-	goldenSRSPasses      = 4
-	goldenSRSIOTotal     = 4178 // 2089 reads + 2089 writes, all run-attributed
+	goldenSRSComparisons = 96263
+	goldenSRSRuns        = 50
+	goldenSRSPasses      = 3
+	goldenSRSIOTotal     = 3280 // 1640 reads + 1640 writes, all run-attributed
 )
 
 func goldenRows() []types.Tuple {
@@ -129,7 +130,7 @@ func TestGoldenSerialSpill(t *testing.T) {
 
 // TestGoldenRadixAgrees holds radix run formation to the golden output at
 // every parallelism level, with run/pass structure, comparisons and I/O
-// independent of parallelism. With 64 blocks a memory batch holds ~250
+// independent of parallelism. With 64 blocks a memory batch holds ~960
 // tuples, so run formation radix-partitions it.
 func TestGoldenRadixAgrees(t *testing.T) {
 	type shape struct {

@@ -1,24 +1,26 @@
 package xsort
 
 // runEntry is a heap element during replacement-selection run formation:
-// tuples tagged for the current run sort before tuples deferred to the next.
+// rows tagged for the current run sort before rows deferred to the next.
 type runEntry struct {
-	tag int // run number this tuple belongs to
+	tag int // run number this row belongs to
 	kt  keyed
 }
 
 // runHeap is a binary min-heap over (tag, key). The heap order is an int32
 // slot permutation over stable entry storage — the same treatment that
 // moved MRS segment sorts to index sorting: every sift swaps one 4-byte
-// index instead of a 56-byte entry (whose key and tuple slices also drag
+// index instead of a 56-byte entry (whose key and row slices also drag
 // write barriers through the heap). Freed slots are recycled, so
 // replacement selection's push-one-pop-one steady state never grows the
 // entry array past the memory budget.
 //
 // Key comparisons are counted into *comparisons; tag comparisons are not
 // (they are integer checks, not the multi-attribute comparisons the paper's
-// analysis counts). Key bytes are excluded from memBytes so the M-block
-// budget keeps the paper's tuple-size arithmetic.
+// analysis counts). memBytes counts each held row's page-format bytes
+// (keyed.size, Tuple.EncodedSize): the key bytes and the entries are
+// excluded, so the M-block budget keeps the paper's tuple-size arithmetic
+// and a heap of M blocks writes runs of M blocks.
 type runHeap struct {
 	entries     []runEntry // slot-stable storage; holes are reused via free
 	heap        []int32    // heap order: slots into entries
@@ -42,7 +44,7 @@ func (h *runHeap) less(i, j int) bool {
 		return a.tag < b.tag
 	}
 	*h.comparisons++
-	return h.ky.compare(a.kt, b.kt) < 0
+	return h.ky.compare(a.kt.key, b.kt.key) < 0
 }
 
 func (h *runHeap) swap(i, j int) {
@@ -60,7 +62,7 @@ func (h *runHeap) push(e runEntry) {
 		h.entries = append(h.entries, e)
 	}
 	h.heap = append(h.heap, slot)
-	h.bytes += int64(e.kt.t.MemSize())
+	h.bytes += e.kt.size()
 	h.siftUp(len(h.heap) - 1)
 }
 
@@ -68,12 +70,12 @@ func (h *runHeap) push(e runEntry) {
 func (h *runHeap) pop() runEntry {
 	slot := h.heap[0]
 	top := h.entries[slot]
-	h.entries[slot] = runEntry{} // drop tuple/key references for the GC
+	h.entries[slot] = runEntry{} // drop record references for the GC
 	h.free = append(h.free, slot)
 	last := len(h.heap) - 1
 	h.heap[0] = h.heap[last]
 	h.heap = h.heap[:last]
-	h.bytes -= int64(top.kt.t.MemSize())
+	h.bytes -= top.kt.size()
 	if last > 0 {
 		h.siftDown(0)
 	}
@@ -93,7 +95,7 @@ func (h *runHeap) seed(fill []keyed, order []int32) {
 	h.heap = append(h.heap[:0], order...)
 	for i, kt := range fill {
 		h.entries[i] = runEntry{tag: 0, kt: kt}
-		h.bytes += int64(kt.t.MemSize())
+		h.bytes += kt.size()
 	}
 }
 

@@ -8,20 +8,55 @@ import (
 	"pyro/internal/types"
 )
 
-// keyed is a tuple paired with its normalized sort key: an
-// order-preserving byte string (see package keys), so comparisons are a
-// single bytes.Compare. Keys are never decoded: the tuple rides along and
-// is what gets emitted or spilled.
+// keyed is one buffered row in page format: a record in the keyer's byte
+// arena holding the row's normalized sort key (an order-preserving byte
+// string, see package keys) followed by its Tuple.Encode bytes. key and
+// row are the two adjacent halves of that record. Keys are compared, never
+// decoded; row is what gets spilled (copied onto a run page as is) or
+// decoded into an owned tuple when the row is emitted.
 type keyed struct {
 	key []byte
-	t   types.Tuple
+	row []byte
 }
 
-// keyer produces and compares keyed tuples for one sort operator. wrap is
-// not safe for concurrent use (it reuses a scratch buffer and an arena);
-// compare is pure and may be called from parallel segment sorters.
+// size is the row's charge against the sort's memory budget: the bytes it
+// occupies on a run page (Tuple.EncodedSize). The key bytes and the
+// fixed-size entry are not charged, so M blocks of sort memory hold the
+// rows that fit in M blocks on disk — the cost model's definition of a
+// sort that fits.
+func (kt keyed) size() int64 { return int64(len(kt.row)) }
+
+// decodeSlabRows is how many emitted rows share one datum slab.
+const decodeSlabRows = 256
+
+// rowDecoder turns records back into owned tuples as a sort emits them.
+// Their datums are carved from a shared slab, so emitting N rows costs
+// about N/decodeSlabRows slab allocations plus the rows' strings. The slab
+// is not pooled: an emitted tuple keeps its slab alive for as long as the
+// consumer holds it.
+type rowDecoder struct {
+	ncols int
+	slab  []types.Datum
+}
+
+// decode returns kt's row as an owned tuple. left is how many rows the
+// caller has yet to emit from the same buffer, this one included; a new
+// slab holds no more rows than that, so a small sort allocates no more
+// than its rows.
+func (d *rowDecoder) decode(kt keyed, left int) (types.Tuple, error) {
+	if len(d.slab) < d.ncols {
+		d.slab = make([]types.Datum, d.ncols*min(left, decodeSlabRows))
+	}
+	t, _, err := types.DecodeTupleInto(d.slab[:d.ncols:d.ncols], kt.row)
+	d.slab = d.slab[d.ncols:]
+	return t, err
+}
+
+// keyer builds and compares records for one sort operator. wrap is not
+// safe for concurrent use (it reuses a scratch buffer and appends to an
+// arena); compare is pure and may be called from parallel segment sorters.
 type keyer struct {
-	codec *keys.Codec // nil => attach no keys (MRS passthrough never compares)
+	codec *keys.Codec // nil only for TopN's source, which never wraps
 	// skip is the number of leading encoded-key bytes every key this keyer
 	// compares is known to share. MRS binds one skip-carrying keyer per
 	// partial-sort segment (the encoded byte length of the segment's
@@ -31,106 +66,77 @@ type keyer struct {
 	// seeds its first partitioning pass at this depth.
 	skip    int
 	scratch []byte
-	arena   []byte // current arena block; keys are copied in to batch allocations
-	ends    []int  // wrapBatch scratch: per-key end offsets within scratch
+	arena   []byte // current arena block; records are carved from it
 }
 
-const arenaBlockSize = 64 << 10
+// Arena blocks double from arenaFirstBlock up to arenaBlockSize, so a
+// sort of a few rows allocates a few KiB and a large one O(N / 64 KiB)
+// blocks.
+const (
+	arenaFirstBlock = 4 << 10
+	arenaBlockSize  = 64 << 10
+)
 
-// clone returns a keyer with the same codec and skip but
-// private scratch buffers. Workers that need wrap — run merges re-encode
-// keys as they read tuples back — must each hold their own clone; sharing
-// one keyer across goroutines is only safe for compare.
-func (k *keyer) clone() *keyer { return &keyer{codec: k.codec, skip: k.skip} }
+// withSkip returns a keyer with the same codec that compares keys past
+// the first skip encoded bytes, with its own (empty) scratch and arena.
+// The caller guarantees every key the keyer will ever see shares those
+// bytes (and is at least that long); MRS derives skip per segment from
+// the shared `given`-prefix encoding.
+func (k *keyer) withSkip(skip int) *keyer { return &keyer{codec: k.codec, skip: skip} }
 
-// withSkip returns a clone that compares keys past the first skip encoded
-// bytes. The caller guarantees every key the clone will ever see shares
-// those bytes (and is at least that long); MRS derives skip per segment
-// from the shared `given`-prefix encoding.
-func (k *keyer) withSkip(skip int) *keyer {
-	c := k.clone()
-	c.skip = skip
-	return c
-}
-
-// wrap attaches t's sort key. Keys are encoded into a reused scratch buffer
-// and then copied into a block arena, so per-tuple allocations are batched;
-// earlier keys stay valid because a full block is simply abandoned to the
-// garbage collector when the next one is carved.
+// wrap stores t as a record: its sort key and its Tuple.Encode bytes,
+// encoded back to back into a reused scratch buffer and copied into the
+// arena. Records are carved from arena blocks, so buffering N rows
+// allocates O(N / block) objects; earlier records stay valid because a
+// full block is simply abandoned to the garbage collector when the next
+// one is carved. t may be a reused view: the record does not alias it.
 func (k *keyer) wrap(t types.Tuple) keyed {
-	if k.codec == nil {
-		return keyed{t: t}
-	}
 	k.scratch = k.codec.Append(k.scratch[:0], t)
+	klen := len(k.scratch)
+	k.scratch = t.Encode(k.scratch)
 	n := len(k.scratch)
 	if cap(k.arena)-len(k.arena) < n {
-		size := arenaBlockSize
-		if n > size {
-			size = n
-		}
-		k.arena = make([]byte, 0, size)
+		size := min(max(2*cap(k.arena), arenaFirstBlock), arenaBlockSize)
+		k.arena = make([]byte, 0, max(size, n))
 	}
 	start := len(k.arena)
 	k.arena = append(k.arena, k.scratch...)
-	return keyed{key: k.arena[start:len(k.arena):len(k.arena)], t: t}
+	mid, end := start+klen, len(k.arena)
+	return keyed{key: k.arena[start:mid:mid], row: k.arena[mid:end:end]}
 }
 
-// wrapBatch attaches sort keys to a whole batch of tuples, appending the
-// keyed entries to out. It is the batch analogue of wrap: the chunk's keys
-// are encoded back-to-back into the scratch buffer (keys.Codec.EncodeBatch)
-// and copied into the arena under a single capacity check, so the
-// per-tuple cost shrinks to slicing offsets. Byte content and key
-// boundaries are identical to per-tuple wrap calls.
-func (k *keyer) wrapBatch(rows []types.Tuple, out []keyed) []keyed {
-	if k.codec == nil {
-		for _, t := range rows {
-			out = append(out, keyed{t: t})
-		}
-		return out
-	}
-	k.scratch, k.ends = k.codec.EncodeBatch(k.scratch[:0], rows, k.ends[:0])
-	total := len(k.scratch)
-	if cap(k.arena)-len(k.arena) < total {
-		size := arenaBlockSize
-		if total > size {
-			size = total
-		}
-		k.arena = make([]byte, 0, size)
-	}
-	base := len(k.arena)
-	k.arena = append(k.arena, k.scratch...)
-	prev := 0
-	for i, end := range k.ends {
-		out = append(out, keyed{key: k.arena[base+prev : base+end : base+end], t: rows[i]})
-		prev = end
-	}
-	return out
-}
-
-// compare orders two keyed tuples. Callers count comparisons; compare does
+// compare orders two sort keys. Callers count comparisons; compare does
 // not touch shared state and is safe to call concurrently.
-func (k *keyer) compare(a, b keyed) int {
-	return bytes.Compare(a.key[k.skip:], b.key[k.skip:])
+func (k *keyer) compare(a, b []byte) int {
+	return bytes.Compare(a[k.skip:], b[k.skip:])
 }
 
-// sortKeyed stable-sorts buf under the keyer, returning the emission order
-// as a permutation of indices and the number of key comparisons performed.
-// Sorting indices instead of the 48-byte keyed entries keeps the sort's
-// data movement to 4-byte swaps with no write barriers (the entries hold
-// pointers); emission then reads buf through the permutation — the
-// decode-free design: a key is only ever compared, never decoded, and the
-// index leads back to the tuple. The count is returned rather than
-// accumulated so parallel segment sorts can tally locally and publish once,
-// keeping SortStats free of atomics and its totals deterministic.
-func sortKeyed(buf []keyed, ky *keyer) ([]int32, int64) {
-	order := make([]int32, len(buf))
+// identity returns the permutation 0..n-1, reusing order's storage when
+// it is large enough (MRS recycles a released segment's permutation).
+func identity(order []int32, n int) []int32 {
+	if order == nil || cap(order) < n {
+		order = make([]int32, n)
+	}
+	order = order[:n]
 	for i := range order {
 		order[i] = int32(i)
 	}
+	return order
+}
+
+// sortKeyed stable-sorts the permutation order (initially the identity)
+// over buf under the keyer and returns the number of key comparisons
+// performed. Sorting 4-byte indices instead of the 48-byte records keeps
+// the sort's data movement to swaps with no write barriers (the entries
+// hold pointers); emission then reads buf through the permutation. The
+// count is returned rather than accumulated so parallel segment sorts can
+// tally locally and publish once, keeping SortStats free of atomics and
+// its totals deterministic.
+func sortKeyed(buf []keyed, order []int32, ky *keyer) int64 {
 	var comparisons int64
 	sort.SliceStable(order, func(i, j int) bool {
 		comparisons++
-		return ky.compare(buf[order[i]], buf[order[j]]) < 0
+		return ky.compare(buf[order[i]].key, buf[order[j]].key) < 0
 	})
-	return order, comparisons
+	return comparisons
 }

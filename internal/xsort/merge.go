@@ -9,14 +9,26 @@ import (
 )
 
 // mergeCursor is one input of a multiway merge: a run reader plus its
-// lookahead tuple, wrapped with its normalized key (re-encoded on read —
-// one encode per tuple buys log(fan-in) cheap byte comparisons in the heap).
+// lookahead tuple and that tuple's normalized key (re-encoded on read into
+// the cursor's own reused buffer — one encode per tuple buys log(fan-in)
+// cheap byte comparisons in the heap).
 // The keyer's skip short-circuits those comparisons past any shared key
 // prefix: a spilled MRS segment's runs all share the encoded bytes of the
 // segment's `given` prefix, so its merges never re-scan them.
 type mergeCursor struct {
 	r    *storage.TupleReader
-	head keyed
+	head types.Tuple
+	key  []byte
+}
+
+// advance reads the cursor's next tuple and encodes its key; ok is false
+// at the end of the run.
+func (c *mergeCursor) advance(ky *keyer) (ok bool, err error) {
+	c.head, ok, err = c.r.Next()
+	if ok {
+		c.key = ky.codec.Append(c.key[:0], c.head)
+	}
+	return ok, err
 }
 
 // runMerger merges sorted run files into a single sorted stream. It uses a
@@ -31,14 +43,13 @@ func newRunMerger(runs []*storage.File, ky *keyer, comparisons *int64) (*runMerg
 	m := &runMerger{ky: ky, comparisons: comparisons}
 	for _, f := range runs {
 		c := &mergeCursor{r: storage.NewTupleReader(f)}
-		t, ok, err := c.r.Next()
+		ok, err := c.advance(ky)
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
 			continue // empty run
 		}
-		c.head = ky.wrap(t)
 		m.cursors = append(m.cursors, c)
 	}
 	// Heapify.
@@ -50,7 +61,7 @@ func newRunMerger(runs []*storage.File, ky *keyer, comparisons *int64) (*runMerg
 
 func (m *runMerger) less(i, j int) bool {
 	*m.comparisons++
-	return m.ky.compare(m.cursors[i].head, m.cursors[j].head) < 0
+	return m.ky.compare(m.cursors[i].key, m.cursors[j].key) < 0
 }
 
 func (m *runMerger) siftDown(i int) {
@@ -79,13 +90,12 @@ func (m *runMerger) next() (types.Tuple, bool, error) {
 		return nil, false, nil
 	}
 	top := m.cursors[0]
-	out := top.head.t
-	t, ok, err := top.r.Next()
+	out := top.head
+	ok, err := top.advance(m.ky)
 	if err != nil {
 		return nil, false, err
 	}
 	if ok {
-		top.head = m.ky.wrap(t)
 		m.siftDown(0)
 	} else {
 		last := len(m.cursors) - 1
@@ -101,13 +111,12 @@ func (m *runMerger) next() (types.Tuple, bool, error) {
 // mergeGroup merges a group of runs into one fresh run in ns, removing the
 // consumed inputs on success. The comparison count is returned rather than
 // accumulated so concurrent group merges can tally locally and the caller
-// can fold counts in deterministic group order. The keyer is cloned first:
-// merging re-encodes keys as tuples come off disk (keyer.wrap mutates
-// scratch buffers), and group merges run concurrently. abort (nil = never)
-// is polled per merged tuple at the guard stride; it may be shared with
-// other concurrent merges, so each call takes its own Guard.
+// can fold counts in deterministic group order. The keyer is only read
+// (each cursor re-encodes keys into its own buffer), so concurrent group
+// merges may share it. abort (nil = never) is polled per merged tuple at
+// the guard stride; it may be shared with other concurrent merges, so
+// each call takes its own Guard.
 func mergeGroup(ns storage.TempSpace, prefix string, group []*storage.File, ky *keyer, abort func() error) (*storage.File, int64, error) {
-	ky = ky.clone()
 	guard := iter.NewGuard(abort)
 	var comparisons int64
 	merged := ns.CreateTemp(prefix, storage.KindRun)

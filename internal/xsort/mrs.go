@@ -66,9 +66,11 @@ type MRS struct {
 	spar   int           // resolved spill parallelism
 	stats  SortStats
 
-	// Input state.
+	// Input state. pending is only valid until the next advance (in batch
+	// mode it is the source's reused row view); pendingKT is its record.
 	pending     types.Tuple // lookahead: first tuple of the next segment
-	pendingKT   keyed       // pending with its sort key (wrapped by src)
+	pendingKT   keyed       // pending as a record (wrapped by src)
+	first       types.Tuple // copy of the collecting segment's first tuple
 	src         *tupleSource
 	inputDone   bool
 	passthrough bool // given == target: nothing to do
@@ -80,7 +82,10 @@ type MRS struct {
 	segq []*segment
 	cur  *segment
 
-	liveBytes int64      // buffered tuple bytes across all live segments
+	free []segBufs // released segments' entry buffers, at most par+1
+	dec  rowDecoder
+
+	liveBytes int64      // buffered row bytes across all live segments
 	pumpErr   error      // read-ahead failure, surfaced on the next Next call
 	guard     iter.Guard // strided Config.Abort poll (consumer goroutine only)
 
@@ -93,10 +98,12 @@ type MRS struct {
 // (wrapped by the shared consumer-side keyer), and within this segment
 // they all share the encoded bytes of the `given` prefix, so the
 // segment's comparisons slice past them and its radix sorts seed there.
+// buf holds the segment's records; memBytes charges their page-format
+// bytes (keyed.size).
 type segCollector struct {
-	first    types.Tuple // segment representative for prefix comparisons
 	ky       *keyer
 	buf      []keyed
+	order    []int32 // recycled permutation storage for the segment's sorts
 	memBytes int64
 	spilled  bool
 	sp       *spillState // non-nil once the segment has spilled
@@ -127,6 +134,13 @@ type flushJob struct {
 	run      *storage.File
 	tally    sortTally
 	err      error
+}
+
+// segBufs is a released segment's entry slice and permutation, kept for
+// the next collector so a segment's buffers are not regrown from nil.
+type segBufs struct {
+	buf   []keyed
+	order []int32
 }
 
 // inflight counts dispatched jobs whose completion the consumer has not yet
@@ -197,6 +211,7 @@ func NewMRS(input iter.Iterator, schema *types.Schema, target, given sortord.Ord
 		cfg:         cfg,
 		ks:          ks,
 		ky:          &keyer{codec: codec},
+		dec:         rowDecoder{ncols: schema.Len()},
 		prefix:      prefix,
 		par:         cfg.parallelism(),
 		spar:        cfg.spillParallelism(),
@@ -232,26 +247,11 @@ func (m *MRS) Open() error {
 	if err := m.input.Open(); err != nil {
 		return err
 	}
-	// The source wraps each tuple with its sort key as it is pulled. A
-	// passthrough (given == target) never compares keys, so it gets a
-	// codec-less keyer and skips the encodes entirely.
-	ky := m.ky
-	if m.passthrough {
-		ky = &keyer{}
-	}
-	m.src = newTupleSource(m.input, m.schema, ky, m.cfg)
-	kt, ok, err := m.src.next()
-	if err != nil {
-		return err
-	}
-	if !ok {
-		m.inputDone = true
-		return nil
-	}
-	m.stats.TuplesIn++
-	m.pending = kt.t
-	m.pendingKT = kt
-	return nil
+	// The source stores each tuple as a record as it is pulled. A
+	// passthrough (given == target) never buffers or compares, so it reads
+	// plain rows and skips the encodes entirely.
+	m.src = newTupleSource(m.input, m.schema, m.ky, m.cfg)
+	return m.advance()
 }
 
 // samePrefix reports whether b belongs to the segment started by a.
@@ -325,7 +325,10 @@ func (m *MRS) emit() (types.Tuple, bool, error) {
 	if s.pos >= len(s.order) {
 		return nil, false, nil
 	}
-	t := s.buf[s.order[s.pos]].t
+	t, err := m.dec.decode(s.buf[s.order[s.pos]], len(s.order)-s.pos)
+	if err != nil {
+		return nil, false, err
+	}
 	s.pos++
 	return t, true, nil
 }
@@ -518,13 +521,43 @@ func (m *MRS) releaseSpill(sp *spillState) {
 }
 
 // release drops an exhausted segment: its buffer memory leaves the
-// accounting and its spill arena (if any) is released.
+// accounting, its entry buffers go to the free list and its spill arena
+// (if any) is released.
 func (m *MRS) release(seg *segment) {
 	m.liveBytes -= seg.memBytes
+	m.recycle(seg.buf, seg.order)
 	seg.buf = nil
 	seg.order = nil
 	m.releaseSpill(seg.sp)
 	seg.sp = nil
+}
+
+// recycle keeps a released segment's entry slice and permutation for a
+// later collector. The list holds at most par+1 pairs — one per segment
+// read-ahead can have queued, plus the one collecting — so steady-state
+// collection regrows nothing. Entries are cleared first so a recycled
+// slice does not pin the old records' arena blocks; entries past len are
+// already zero (every path that shortens a buffer clears it first).
+func (m *MRS) recycle(buf []keyed, order []int32) {
+	if cap(buf) == 0 || len(m.free) > m.par {
+		return
+	}
+	clear(buf)
+	m.free = append(m.free, segBufs{buf: buf[:0], order: order[:0]})
+}
+
+// newCollector starts collecting the segment whose first tuple is pending,
+// on recycled entry buffers when the free list has any. The first tuple
+// is copied into m.first, the representative every later tuple's prefix
+// is compared with (one collector is open at a time).
+func (m *MRS) newCollector() *segCollector {
+	m.first = append(m.first[:0], m.pending...)
+	c := &segCollector{ky: m.segmentKeyer(m.pending)}
+	if n := len(m.free); n > 0 {
+		c.buf, c.order = m.free[n-1].buf, m.free[n-1].order
+		m.free = m.free[:n-1]
+	}
+	return c
 }
 
 // pump advances read-ahead in parallel mode: after each emitted tuple the
@@ -574,7 +607,7 @@ func (m *MRS) collect(limit int) (*segment, error) {
 	}
 	if m.col == nil {
 		m.stats.Segments++
-		m.col = &segCollector{first: m.pending, ky: m.segmentKeyer(m.pending)}
+		m.col = m.newCollector()
 	}
 	c := m.col
 	read := 0
@@ -584,10 +617,10 @@ func (m *MRS) collect(limit int) (*segment, error) {
 		if err := m.guard.Check(); err != nil {
 			return nil, err
 		}
-		t := m.pending
+		sz := m.pendingKT.size()
 		c.buf = append(c.buf, m.pendingKT)
-		c.memBytes += int64(t.MemSize())
-		m.liveBytes += int64(t.MemSize())
+		c.memBytes += sz
+		m.liveBytes += sz
 		if m.liveBytes > m.stats.PeakMemBytes {
 			m.stats.PeakMemBytes = m.liveBytes
 		}
@@ -604,7 +637,7 @@ func (m *MRS) collect(limit int) (*segment, error) {
 		if err := m.advance(); err != nil {
 			return nil, err
 		}
-		if m.pending == nil || !m.samePrefix(c.first, m.pending) {
+		if m.pending == nil || !m.samePrefix(m.first, m.pending) {
 			m.col = nil
 			return m.finish(c)
 		}
@@ -626,15 +659,17 @@ func (m *MRS) flush(c *segCollector) error {
 		c.sp = &spillState{arena: m.cfg.Disk.NewArenaTapped(m.cfg.Tap), ky: c.ky}
 	}
 	if m.spar <= 1 {
-		order, tally := formOrder(c.buf, c.ky)
+		var tally sortTally
+		c.order, tally = formOrder(c.buf, c.ky, c.order)
 		tally.addTo(&m.stats)
-		run, err := writeRun(c.sp.arena, m.cfg.TempPrefix, c.buf, order)
+		run, err := writeRun(c.sp.arena, m.cfg.TempPrefix, c.buf, c.order)
 		if err != nil {
 			return err
 		}
 		c.sp.runs = append(c.sp.runs, run)
 		m.stats.RunsGenerated++
 		m.stats.SpillRunsSerial++
+		clear(c.buf)
 		c.buf = c.buf[:0]
 		m.liveBytes -= c.memBytes
 		c.memBytes = 0
@@ -657,7 +692,7 @@ func (m *MRS) flush(c *segCollector) error {
 		defer close(job.done)
 		defer recoverWorker(&job.err)
 		var order []int32
-		order, job.tally = formOrder(job.buf, ky)
+		order, job.tally = formOrder(job.buf, ky, nil)
 		job.run, job.err = writeRun(arena, prefix, job.buf, order)
 		job.buf = nil // batch is on disk; release it before the consumer reaps
 	}()
@@ -679,46 +714,58 @@ func (m *MRS) finish(c *segCollector) (*segment, error) {
 				return nil, err
 			}
 		}
+		m.recycle(c.buf, c.order)
 		return &segment{spilled: true, sp: c.sp, ky: c.ky}, nil
 	}
-	seg := &segment{buf: c.buf, memBytes: c.memBytes, ky: c.ky}
+	seg := &segment{buf: c.buf, order: c.order, memBytes: c.memBytes, ky: c.ky}
 	if m.par > 1 {
 		seg.done = make(chan struct{})
 		go func() {
 			defer close(seg.done)
 			defer recoverWorker(&seg.err)
-			seg.order, seg.tally = formOrder(seg.buf, seg.ky)
+			seg.order, seg.tally = formOrder(seg.buf, seg.ky, seg.order)
 		}()
 	} else {
 		var tally sortTally
-		seg.order, tally = formOrder(seg.buf, seg.ky)
+		seg.order, tally = formOrder(seg.buf, seg.ky, seg.order)
 		tally.addTo(&m.stats)
 	}
 	return seg, nil
 }
 
 // advance pulls the next input tuple into pending (nil at EOF), already
-// wrapped with its sort key. TuplesIn counts here, per tuple the sort
-// actually takes — source-side chunk buffering is invisible to the stats.
+// stored as a record. A passthrough takes plain rows instead, owned,
+// because it emits pending itself. TuplesIn counts here, per tuple the
+// sort actually takes — source-side chunk buffering is invisible to the
+// stats.
 func (m *MRS) advance() error {
 	if m.inputDone {
-		m.pending = nil
-		m.pendingKT = keyed{}
+		m.pending, m.pendingKT = nil, keyed{}
 		return nil
 	}
-	kt, ok, err := m.src.next()
+	var t types.Tuple
+	var kt keyed
+	var ok bool
+	var err error
+	if m.passthrough {
+		var owned bool
+		t, ok, owned, err = m.src.nextRow()
+		if ok && !owned {
+			t = t.Clone()
+		}
+	} else {
+		kt, t, ok, err = m.src.next()
+	}
 	if err != nil {
 		return err
 	}
 	if !ok {
 		m.inputDone = true
-		m.pending = nil
-		m.pendingKT = keyed{}
+		m.pending, m.pendingKT = nil, keyed{}
 		return nil
 	}
 	m.stats.TuplesIn++
-	m.pending = kt.t
-	m.pendingKT = kt
+	m.pending, m.pendingKT = t, kt
 	return nil
 }
 

@@ -84,15 +84,16 @@ func radixEligible(buf []keyed, ky *keyer) bool {
 	return len(buf[0].key)-ky.skip >= adaptiveMinKeyBytes
 }
 
-// formOrder produces buf's emission permutation. Both branches yield the
-// identical stable order; they differ only in how the work is spent (and
-// therefore tallied).
-func formOrder(buf []keyed, ky *keyer) ([]int32, sortTally) {
+// formOrder produces buf's emission permutation, reusing order's storage
+// when it is large enough. Both branches yield the identical stable
+// order; they differ only in how the work is spent (and therefore
+// tallied).
+func formOrder(buf []keyed, ky *keyer, order []int32) ([]int32, sortTally) {
+	order = identity(order, len(buf))
 	if radixEligible(buf, ky) {
-		return radixSortKeyed(buf, ky.skip)
+		return order, radixSort(buf, order, ky.skip, radixInsertionCutoff)
 	}
-	order, comparisons := sortKeyed(buf, ky)
-	return order, sortTally{comparisons: comparisons}
+	return order, sortTally{comparisons: sortKeyed(buf, order, ky)}
 }
 
 // radixSortKeyed stable-sorts buf by key bytes from offset skip (the caller
@@ -106,16 +107,19 @@ func radixSortKeyed(buf []keyed, skip int) ([]int32, sortTally) {
 // cutoff; BenchmarkRadixInsertionCutoff sweeps it to keep the constant
 // honest against real key-length distributions.
 func radixSortKeyedCutoff(buf []keyed, skip, cutoff int) ([]int32, sortTally) {
-	order := make([]int32, len(buf))
-	for i := range order {
-		order[i] = int32(i)
-	}
+	order := identity(nil, len(buf))
+	return order, radixSort(buf, order, skip, cutoff)
+}
+
+// radixSort stable-sorts the permutation order (initially the identity)
+// over buf by key bytes from offset skip.
+func radixSort(buf []keyed, order []int32, skip, cutoff int) sortTally {
 	var t sortTally
 	if len(buf) > 1 {
 		scratch := make([]int32, len(buf))
 		msdRadix(buf, order, scratch, 0, len(buf), skip, cutoff, &t)
 	}
-	return order, t
+	return t
 }
 
 // msdRadix sorts order[lo:hi] — whose keys all agree on bytes [0, depth) —

@@ -33,7 +33,7 @@ var cutoffDistributions = []struct {
 			k := make([]byte, 9)
 			k[0] = 0x10
 			r.Read(k[1:])
-			buf[i] = keyed{key: k, t: types.NewTuple(types.NewInt(int64(i)))}
+			buf[i] = keyed{key: k, row: types.NewTuple(types.NewInt(int64(i))).Encode(nil)}
 		}
 		return buf
 	}},
@@ -49,7 +49,7 @@ var cutoffDistributions = []struct {
 			k = append(k, 0x20)
 			k = append(k, fmt.Sprintf("tag-%03d", r.Intn(1000))...)
 			k = append(k, 0)
-			buf[i] = keyed{key: k, t: types.NewTuple(types.NewInt(int64(i)))}
+			buf[i] = keyed{key: k, row: types.NewTuple(types.NewInt(int64(i))).Encode(nil)}
 		}
 		return buf
 	}},
@@ -63,7 +63,7 @@ var cutoffDistributions = []struct {
 				k = append(k, byte('a'+r.Intn(26)))
 			}
 			k = append(k, 0)
-			buf[i] = keyed{key: k, t: types.NewTuple(types.NewInt(int64(i)))}
+			buf[i] = keyed{key: k, row: types.NewTuple(types.NewInt(int64(i))).Encode(nil)}
 		}
 		return buf
 	}},

@@ -28,9 +28,9 @@ func randKeyed(r *rand.Rand, n, skip int) []keyed {
 		for j := r.Intn(6); j > 0; j-- {
 			k = append(k, alphabet[r.Intn(len(alphabet))])
 		}
-		// The tuple doubles as an identity so stability violations are
+		// The row doubles as an identity so stability violations are
 		// visible even between equal keys.
-		buf[i] = keyed{key: k, t: types.NewTuple(types.NewInt(int64(i)))}
+		buf[i] = keyed{key: k, row: types.NewTuple(types.NewInt(int64(i))).Encode(nil)}
 	}
 	// Inject exact duplicates of earlier keys.
 	for i := range buf {

@@ -14,12 +14,13 @@ type chunkSource interface {
 	NextChunk(c *types.Chunk) error
 }
 
-// tupleSource feeds a sort operator its input as keyed tuples. In row mode
-// it is a thin veneer over input.Next + keyer.wrap. In batch mode
-// (Config.BatchSize > 1 and the input serves chunks) it refills a pooled
-// chunk, materializes the live rows — the sort retains every tuple, so the
-// per-row ownership copy is work the row path's decode already paid — and
-// key-encodes the whole batch in one wrapBatch call.
+// tupleSource feeds a sort operator its input. In row mode it is a thin
+// veneer over input.Next. In batch mode (Config.BatchSize > 1 and the
+// input serves chunks) it refills a pooled chunk and serves its live rows
+// through one reused row view, so serving a row allocates nothing: a sort
+// that keeps the row stores it as a record (next encodes the view straight
+// into the keyer's arena), and one that keeps only a few rows (TopN)
+// copies just those.
 //
 // Batching never changes what the sort observes: tuples arrive in the same
 // order, and a chunk never spans a storage page, so the demand-driven I/O
@@ -35,13 +36,10 @@ type tupleSource struct {
 	ncols int
 	batch int
 	chunk *types.Chunk
-	rows  []types.Tuple
-	keys  []keyed
 	pos   int
+	live  int // live rows in the current chunk
 	done  bool
-	// nextRow state: live rows in the current chunk and the reused view.
-	live int
-	view types.Tuple
+	view  types.Tuple
 }
 
 // newTupleSource builds the source; it serves rows unless cfg enables
@@ -58,46 +56,22 @@ func newTupleSource(it iter.Iterator, schema *types.Schema, ky *keyer, cfg Confi
 	return s
 }
 
-// next returns the next input tuple, already wrapped with its sort key.
-func (s *tupleSource) next() (keyed, bool, error) {
-	if s.cs == nil {
-		t, ok, err := s.it.Next()
-		if err != nil || !ok {
-			return keyed{}, false, err
-		}
-		return s.ky.wrap(t), true, nil
+// next returns the next input row as a record (sort key and page-format
+// row in the keyer's arena), together with the row as a tuple. The tuple
+// is only valid until the following call: in batch mode it is the reused
+// view.
+func (s *tupleSource) next() (keyed, types.Tuple, bool, error) {
+	t, ok, _, err := s.nextRow()
+	if err != nil || !ok {
+		return keyed{}, nil, false, err
 	}
-	for s.pos >= len(s.keys) {
-		live, err := s.refill()
-		if err != nil || live == 0 {
-			return keyed{}, false, err
-		}
-		// One datum slab owns the whole batch: the sort retains these
-		// tuples past the next refill, so they must not alias the chunk,
-		// but carving them from a single allocation replaces the row
-		// path's one decode allocation per tuple. The slab is not pooled —
-		// retained rows keep it alive for exactly as long as the sort
-		// holds any of them.
-		slab := make([]types.Datum, live*s.ncols)
-		s.rows = s.rows[:0]
-		for i := 0; i < live; i++ {
-			row := slab[i*s.ncols : (i+1)*s.ncols : (i+1)*s.ncols]
-			s.rows = append(s.rows, s.chunk.CopyRow(row, i))
-		}
-		s.keys = s.ky.wrapBatch(s.rows, s.keys[:0])
-		s.pos = 0
-	}
-	kt := s.keys[s.pos]
-	s.pos++
-	return kt, true, nil
+	return s.ky.wrap(t), t, true, nil
 }
 
-// nextRow returns the next input tuple with no sort key attached. The row
-// path hands over the input's own tuple (owned is true). In batch mode the
+// nextRow returns the next input tuple with no record built. The row path
+// hands over the input's own tuple (owned is true). In batch mode the
 // tuple is a view into one reused row buffer that the next call
-// overwrites, so a consumer that keeps only a few of the rows it sees —
-// the Top-N enforcer — copies just those and allocates nothing for the
-// rest. A source serves either next or nextRow, never both.
+// overwrites.
 func (s *tupleSource) nextRow() (t types.Tuple, ok, owned bool, err error) {
 	if s.cs == nil {
 		t, ok, err := s.it.Next()

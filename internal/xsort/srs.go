@@ -16,8 +16,10 @@ import (
 // fan-in runs, and Next serves tuples from the final merge. When the whole
 // input fits in memory no run is written and the sort is CPU-only.
 //
-// Each input tuple's sort key is normalized once on entry; every heap and
-// merge comparison is then a single byte-string compare.
+// Each input row is stored once on entry as a record — its normalized sort
+// key and its page-format bytes — charged to the memory budget at its
+// page-format size; every heap comparison is then a single byte-string
+// compare and every run write a byte copy.
 // Run formation is inherently sequential (one replacement-selection heap),
 // but the run-reduction passes merge independent groups concurrently when
 // SpillParallelism > 1. All spill files live in one SpillArena, whose
@@ -39,9 +41,11 @@ type SRS struct {
 	ky     *keyer
 	stats  SortStats
 
-	// In-memory fast path.
-	memOut []types.Tuple
+	// In-memory fast path: the records in emission order, decoded as
+	// they are served.
+	memOut []keyed
 	memPos int
+	dec    rowDecoder
 	inMem  bool
 
 	merger *runMerger
@@ -78,6 +82,7 @@ func NewSRS(input iter.Iterator, schema *types.Schema, o sortord.Order, cfg Conf
 		order:  o.Clone(),
 		cfg:    cfg,
 		ky:     &keyer{codec: codec},
+		dec:    rowDecoder{ncols: schema.Len()},
 	}, nil
 }
 
@@ -129,7 +134,7 @@ func (s *SRS) open() error {
 		if err := guard.Check(); err != nil {
 			return err
 		}
-		kt, ok, err := s.src.next()
+		kt, _, ok, err := s.src.next()
 		if err != nil {
 			return err
 		}
@@ -139,7 +144,7 @@ func (s *SRS) open() error {
 		}
 		s.stats.TuplesIn++
 		fill = append(fill, kt)
-		fillBytes += int64(kt.t.MemSize())
+		fillBytes += kt.size()
 	}
 	s.trackPeak(fillBytes)
 
@@ -150,9 +155,9 @@ func (s *SRS) open() error {
 			// Whole input fits in memory: emit the stable radix order
 			// directly, no heap and no disk I/O.
 			s.inMem = true
-			s.memOut = make([]types.Tuple, len(fill))
+			s.memOut = make([]keyed, len(fill))
 			for i, idx := range order {
-				s.memOut[i] = fill[idx].t
+				s.memOut[i] = fill[idx]
 			}
 			return nil
 		}
@@ -167,9 +172,9 @@ func (s *SRS) open() error {
 		if inputDone {
 			// Whole input fits in memory: drain the heap, no disk I/O.
 			s.inMem = true
-			s.memOut = make([]types.Tuple, 0, h.len())
+			s.memOut = make([]keyed, 0, h.len())
 			for h.len() > 0 {
-				s.memOut = append(s.memOut, h.pop().kt.t)
+				s.memOut = append(s.memOut, h.pop().kt)
 			}
 			return nil
 		}
@@ -211,12 +216,12 @@ func (s *SRS) open() error {
 			lastOut = keyed{}
 		}
 		e = h.pop()
-		if err := w.Write(e.kt.t); err != nil {
+		if err := w.WriteEncoded(e.kt.row); err != nil {
 			return err
 		}
 		lastOut = e.kt
 		if !inputDone {
-			kt, ok, err := s.src.next()
+			kt, _, ok, err := s.src.next()
 			if err != nil {
 				return err
 			}
@@ -226,7 +231,7 @@ func (s *SRS) open() error {
 				s.stats.TuplesIn++
 				tag := currentRun
 				s.stats.Comparisons++
-				if s.ky.compare(kt, lastOut) < 0 {
+				if s.ky.compare(kt.key, lastOut.key) < 0 {
 					tag = currentRun + 1
 				}
 				h.push(runEntry{tag: tag, kt: kt})
@@ -281,7 +286,11 @@ func (s *SRS) Next() (types.Tuple, bool, error) {
 		if s.memPos >= len(s.memOut) {
 			return nil, false, nil
 		}
-		t := s.memOut[s.memPos]
+		t, err := s.dec.decode(s.memOut[s.memPos], len(s.memOut)-s.memPos)
+		if err != nil {
+			return nil, false, err
+		}
+		s.memOut[s.memPos] = keyed{} // the arena block may go once every row is out
 		s.memPos++
 		s.stats.TuplesOut++
 		return t, true, nil

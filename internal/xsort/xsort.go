@@ -24,6 +24,14 @@
 // once (package keys) into an order-preserving byte string, so a
 // comparison is a single bytes.Compare instead of a typed field walk.
 //
+// SRS and MRS buffer rows in page format: each row is one record in a
+// byte arena, its normalized key followed by its Tuple.Encode bytes (see
+// keyed). A row is charged to the memory budget at Tuple.EncodedSize, the
+// bytes it occupies on a run page, so M blocks of sort memory hold exactly
+// what M blocks of disk hold — the cost model's notion of a sort that fits.
+// Spilling copies the row bytes onto run pages; a row is decoded into an
+// owned tuple only when it is emitted.
+//
 // Run formation — producing the sorted order of an in-memory buffer, be it
 // an MRS segment, a spill batch, or SRS's initial heap fill — additionally
 // exploits that byte order IS key order: buffers large enough to amortize
@@ -67,6 +75,11 @@ import (
 
 // SortStats records the work done by one sort operator instance.
 //
+// PeakMemBytes is what SRS and MRS charged against their memory budget at
+// its highest: the Tuple.EncodedSize of every buffered row, the bytes it
+// would occupy on a run page (keys and per-row entries are not charged).
+// TopN, which holds Go tuples, charges Tuple.MemSize instead.
+//
 // Every counter except PeakMemBytes is deterministic: identical at every
 // Parallelism, SpillParallelism and BatchSize for the same input and
 // memory budget. PeakMemBytes varies from run to run under parallel MRS
@@ -78,7 +91,7 @@ type SortStats struct {
 	MergePasses   int   // intermediate merge passes (excluding the final pipelined merge)
 	Segments      int   // MRS: partial-sort segments processed
 	SpilledSegs   int   // MRS: segments that did not fit in memory
-	PeakMemBytes  int64 // high-water mark of buffered tuple bytes (not deterministic, see above)
+	PeakMemBytes  int64 // high-water mark of buffered row bytes in page format (not deterministic, see above)
 	TuplesIn      int64
 	TuplesOut     int64
 
@@ -140,7 +153,7 @@ type Config struct {
 	// Parallelism bounds how many MRS in-memory segments may be sorted
 	// concurrently. 0 means runtime.GOMAXPROCS(0); 1 means fully serial,
 	// strictly demand-driven reading (the paper's original behaviour).
-	// Read-ahead stops once buffered tuples reach the MemoryBlocks budget,
+	// Read-ahead stops once buffered rows reach the MemoryBlocks budget,
 	// so parallelism deepens the pipeline without multiplying M.
 	// SRS run formation is unaffected: its replacement-selection heap is
 	// inherently sequential.
@@ -164,7 +177,7 @@ type Config struct {
 	Tap *storage.Tap
 	// BatchSize, when > 1, batches the sort's *input* collection: tuples
 	// are pulled from a chunk-capable input (see source.go) a chunk at a
-	// time and their sort keys encoded per batch (keys.Codec.EncodeBatch).
+	// time, each row encoded straight from the chunk into a record.
 	// The sort's tuple-level algorithm — segment boundaries, budget checks,
 	// abort polling, emission — is untouched, and a chunk never crosses a
 	// storage page, so output bytes, SortStats and I/O are identical at
@@ -236,14 +249,15 @@ func (c Config) validate() error {
 	return nil
 }
 
-// writeRun writes the tuples of a keyed buffer, in emission order, to a
+// writeRun writes the rows of a record buffer, in emission order, to a
 // fresh run file in ns — the sort's spill arena, so concurrent writers from
 // different segments or workers never share a namespace or a ledger mutex.
+// The records already hold each row in page format, so writing is a copy.
 func writeRun(ns storage.TempSpace, prefix string, buf []keyed, order []int32) (*storage.File, error) {
 	f := ns.CreateTemp(prefix, storage.KindRun)
 	w := storage.NewTupleWriter(f)
 	for _, idx := range order {
-		if err := w.Write(buf[idx].t); err != nil {
+		if err := w.WriteEncoded(buf[idx].row); err != nil {
 			ns.Remove(f.Name())
 			return nil, err
 		}
